@@ -23,6 +23,7 @@ from .criteria import (
     JvcVerdict,
     SignSequence,
     TheoremViolationError,
+    certify_chain,
     counterexample_report,
     jvc_criterion,
     sign_sequence,
@@ -57,7 +58,6 @@ from .tangles import (
     mat_apply,
     mat_mul,
     surgery_result_knot,
-    two_bridge_determinant,
     two_bridge_equivalent,
     two_bridge_normalize,
 )

@@ -1,27 +1,29 @@
 """Command line front end and the verification harness.
 
 Exit codes: 0 on success or a passing verification, 1 on a verification
-violation, 2 on usage or domain errors.  --json swaps the human-readable
-text for a single machine-readable report document.
+violation, 2 on usage or domain errors, 3 on an internal error (a bug).
+--json swaps the human-readable text for a single machine-readable report
+document.
 """
 
 import argparse
 import json
 import sys
 
-from .arith import ReducedFraction, cf_even_expand
+from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .criteria import (
     TheoremViolationError,
+    certify_chain,
     counterexample_report,
     jvc_criterion,
-    sign_sequence,
 )
 from .families import (
     FamilyId,
     closed_form_step,
     family_knot,
+    k_collisions,
+    k_members,
     verify_j_to_k,
-    verify_k_independence,
 )
 from .pinch import TorusKnotParams, pinch_move, pinch_sequence
 from .tangles import MatSL2, is_slice_family, mat_apply, surgery_result_knot
@@ -57,26 +59,43 @@ def fmt_fraction(f: ReducedFraction) -> str:
     return f"{f.num}/{f.den}"
 
 
-def fmt_cf(cf) -> str:
-    return "[" + ",".join(str(a) for a in cf.coeffs) + "]"
-
-
 def fmt_sign(s: int) -> str:
     return "+" if s > 0 else "-"
-
-
-def fmt_knot(k: TorusKnotParams) -> str:
-    return f"({k.p},{k.q})"
 
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _json_value(obj):
+    """Knots, fractions and continued fractions as JSON arrays."""
+    if isinstance(obj, TorusKnotParams):
+        return [obj.p, obj.q]
+    if isinstance(obj, ReducedFraction):
+        return [obj.num, obj.den]
+    if isinstance(obj, EvenCF):
+        return list(obj.coeffs)
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
+def _document(command, inputs, results, status):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "status": status,
+    }
+
+
+def to_json(doc: dict) -> str:
+    return json.dumps(doc, separators=(",", ":"), default=_json_value)
+
+
 def step_payload(step) -> dict:
     return {
-        "from": [step.source.p, step.source.q],
-        "to": [step.target.p, step.target.q],
+        "from": step.source,
+        "to": step.target,
         "t": step.t,
         "h": step.h,
         "sign": fmt_sign(step.sign),
@@ -84,45 +103,41 @@ def step_payload(step) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (inputs, results, text_lines, status)
+# subcommand handlers: each returns (results, text_lines, status)
 
 
 def run_pinch_move(args):
-    knot = TorusKnotParams(args.p, args.q)
-    step = pinch_move(knot)
+    step = pinch_move(TorusKnotParams(args.p, args.q))
     results = step_payload(step)
     results["p_minus_2t"] = step.p_minus_2t
     results["q_minus_2h"] = step.q_minus_2h
     text = [
-        f"{fmt_knot(step.source)} -> {fmt_knot(step.target)}  "
+        f"{step.source} -> {step.target}  "
         f"t={step.t}  h={step.h}  sign={fmt_sign(step.sign)}"
     ]
-    return {"p": args.p, "q": args.q}, results, text, "ok"
+    return results, text, "ok"
 
 
 def run_pinch_seq(args):
-    knot = TorusKnotParams(args.p, args.q)
-    seq = pinch_sequence(knot)
+    seq = pinch_sequence(TorusKnotParams(args.p, args.q))
     results = {
-        "start": [knot.p, knot.q],
+        "start": seq.start,
         "steps": [step_payload(s) for s in seq.steps],
         "pinch_number": seq.pinch_number,
     }
-    text = []
-    for s in seq.steps:
-        text.append(
-            f"{fmt_knot(s.source):>10} -> {fmt_knot(s.target):<10} "
-            f"t={s.t:<6} h={s.h:<6} sign={fmt_sign(s.sign)}"
-        )
+    text = [
+        f"{s.source!s:>10} -> {s.target!s:<10} "
+        f"t={s.t:<6} h={s.h:<6} sign={fmt_sign(s.sign)}"
+        for s in seq.steps
+    ]
     text.append(f"pinch number: {seq.pinch_number}")
-    return {"p": args.p, "q": args.q}, results, text, "ok"
+    return results, text, "ok"
 
 
 def run_pinch_number(args):
     knot = TorusKnotParams(args.p, args.q)
     n = pinch_sequence(knot).pinch_number
-    results = {"start": [knot.p, knot.q], "pinch_number": n}
-    return {"p": args.p, "q": args.q}, results, [str(n)], "ok"
+    return {"start": knot, "pinch_number": n}, [str(n)], "ok"
 
 
 def run_family(args):
@@ -131,12 +146,11 @@ def run_family(args):
     results = {
         "family": fid.family,
         "n": fid.n,
-        "knot": [knot.p, knot.q],
+        "knot": knot,
         "trivial": fid.is_trivial,
     }
     suffix = " (unknot)" if fid.is_trivial else ""
-    text = [f"{fid} = T{fmt_knot(knot)}{suffix}"]
-    return {"family": args.family, "n": args.n}, results, text, "ok"
+    return results, [f"{fid} = T{knot}{suffix}"], "ok"
 
 
 def run_surgery_knot(args):
@@ -147,10 +161,10 @@ def run_surgery_knot(args):
     results = {
         "family": fid.family,
         "n": fid.n,
-        "tangle1": [bridge.t1.num, bridge.t1.den],
-        "tangle2": [bridge.t2.num, bridge.t2.den],
-        "normalized": [bridge.normalized.num, bridge.normalized.den],
-        "cf": list(cf.coeffs),
+        "tangle1": bridge.t1,
+        "tangle2": bridge.t2,
+        "normalized": bridge.normalized,
+        "cf": cf,
         "determinant": bridge.determinant(),
         "slice_recognized": recognized,
     }
@@ -158,18 +172,17 @@ def run_surgery_knot(args):
         f"{fid} bands leave the union of tangles "
         f"{fmt_fraction(bridge.t1)} and {fmt_fraction(bridge.t2)}",
         f"normalized fraction: {fmt_fraction(bridge.normalized)}",
-        f"even continued fraction: {fmt_cf(cf)}",
+        f"even continued fraction: {cf}",
         f"determinant: {bridge.determinant()}",
         f"slice family member: {_yesno(recognized)}",
     ]
-    return {"family": args.family, "n": args.n}, results, text, "ok"
+    return results, text, "ok"
 
 
 def run_tangle_cf(args):
     f = ReducedFraction(args.num, args.den)
     cf = cf_even_expand(f)
-    results = {"fraction": [f.num, f.den], "cf": list(cf.coeffs)}
-    return {"num": args.num, "den": args.den}, results, [fmt_cf(cf)], "ok"
+    return {"fraction": f, "cf": cf}, [str(cf)], "ok"
 
 
 def run_tangle_apply(args):
@@ -178,65 +191,72 @@ def run_tangle_apply(args):
     image = mat_apply(m, f)
     results = {
         "matrix": [[m.a, m.b], [m.c, m.d]],
-        "fraction": [f.num, f.den],
-        "image": [image.num, image.den],
+        "fraction": f,
+        "image": image,
     }
-    inputs = {
-        "a": args.a, "b": args.b, "c": args.c, "d": args.d,
-        "num": args.num, "den": args.den,
-    }
-    return inputs, results, [fmt_fraction(image)], "ok"
+    return results, [fmt_fraction(image)], "ok"
 
 
 def run_jvc(args):
-    knot = TorusKnotParams(args.p, args.q)
-    verdict = jvc_criterion(knot)
-    signs = sign_sequence(knot)
+    verdict = jvc_criterion(TorusKnotParams(args.p, args.q))
+    signs = [fmt_sign(s) for s in verdict.signs.signs]
     results = {
-        "knot": [knot.p, knot.q],
-        "signs": [fmt_sign(s) for s in signs.signs],
+        "knot": verdict.signs.knot,
+        "signs": signs,
         "negative_count": verdict.negative_count,
         "equals_pinch_minus_one": verdict.equals_pinch_minus_one,
     }
     text = [
-        f"sign sequence: [{','.join(fmt_sign(s) for s in signs.signs)}]",
+        f"sign sequence: [{','.join(signs)}]",
         f"negative count: {verdict.negative_count}",
         f"lower bound reaches pinch number - 1: "
         f"{_yesno(verdict.equals_pinch_minus_one)}",
     ]
-    return {"p": args.p, "q": args.q}, results, text, "ok"
+    return results, text, "ok"
 
 
 def run_report(args):
     fid = FamilyId(args.family, args.n)
     rep = counterexample_report(fid)
+    # counterexample_report raises unless the slice family is recognized
     results = {
         "family": fid.family,
         "n": fid.n,
-        "knot": [rep.knot.p, rep.knot.q],
+        "knot": rep.knot,
         "pinch_number": rep.pinch_number,
         "band_count": rep.band_count,
-        "slice_fraction": [rep.slice_fraction.num, rep.slice_fraction.den],
-        "slice_cf": list(rep.slice_cf.coeffs),
-        "slice_recognized": rep.slice_recognized,
+        "slice_fraction": rep.slice_fraction,
+        "slice_cf": rep.slice_cf,
+        "slice_recognized": True,
         "jvc_negative_count": rep.jvc_negative_count,
         "jvc_equals_pinch_minus_one": rep.jvc_equals_pinch_minus_one,
     }
     text = [
-        f"{fid} = T{fmt_knot(rep.knot)}",
+        f"{fid} = T{rep.knot}",
         f"pinch number: {rep.pinch_number}",
         f"band surgeries to a slice knot: {rep.band_count}",
         f"slice knot fraction: {fmt_fraction(rep.slice_fraction)}",
-        f"even continued fraction: {fmt_cf(rep.slice_cf)}",
-        f"slice family recognized: {_yesno(rep.slice_recognized)}",
+        f"even continued fraction: {rep.slice_cf}",
+        "slice family recognized: yes",
         f"negative pinch signs: {rep.jvc_negative_count} "
         f"(equals pinch number - 1: {_yesno(rep.jvc_equals_pinch_minus_one)})",
     ]
-    return {"family": args.family, "n": args.n}, results, text, "ok"
+    return results, text, "ok"
 
 
 # ---------------------------------------------------------------------------
-# verification harness
+# verification harness: verify_all builds each member's pinch sequence once
+# and hands it to the per-member checks below
+
+# summary line of each section after the tables, in document order
+SECTION_LINES = {
+    "closed_form": "pinch numbers and closed form: {checked} sequences checked, "
+                   "{count} violations (n <= {max_n})",
+    "j_to_k": "four pinches J_n -> K_(n-2): {checked} checked, {count} violations",
+    "k_independence": "K sequences avoid other K members: m, n <= {checked}, "
+                      "{count} collisions",
+    "reports": "counterexample reports: {checked} certified, {count} violations",
+}
 
 
 def check_reference_tables() -> dict:
@@ -260,31 +280,24 @@ def check_reference_tables() -> dict:
     return out
 
 
-def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
-    """pinch number 2n plus step-by-step closed form agreement, both families."""
-    checked = 0
-    violations = []
-    for family, lo in (("K", 1), ("J", 2)):
-        for n in range(lo, max_n + 1):
-            fid = FamilyId(family, n)
-            seq = pinch_sequence(family_knot(fid))
-            if seq.pinch_number != 2 * n:
-                violations.append(
-                    {"member": str(fid), "pinch_number": seq.pinch_number,
-                     "expected": 2 * n}
-                )
-                continue
-            knots = seq.knots()
-            for k in range(2 * n + 1):
-                formula = closed_form_step(n, fid.eps, k).canonical()
-                if formula != knots[k].canonical():
-                    violations.append(
-                        {"member": str(fid), "k": k,
-                         "closed_form": [formula.p, formula.q],
-                         "engine": [knots[k].p, knots[k].q]}
-                    )
-            checked += 1
-    return {"checked": checked, "violations": violations}
+def check_pinch_numbers_and_closed_form(fid, seq, section: dict) -> None:
+    """Pinch number 2n and step-by-step closed form agreement for one member."""
+    n = fid.n
+    if seq.pinch_number != 2 * n:
+        section["violations"].append(
+            {"member": str(fid), "pinch_number": seq.pinch_number,
+             "expected": 2 * n}
+        )
+        return
+    knots = seq.knots()
+    for k in range(2 * n + 1):
+        formula = closed_form_step(n, fid.eps, k).canonical()
+        if formula != knots[k].canonical():
+            section["violations"].append(
+                {"member": str(fid), "k": k, "closed_form": formula,
+                 "engine": knots[k]}
+            )
+    section["checked"] += 1
 
 
 def check_j_to_k(max_n: int) -> dict:
@@ -292,21 +305,18 @@ def check_j_to_k(max_n: int) -> dict:
     return {"checked": max_n - 1, "violations": failures}
 
 
-def check_k_independence(max_n: int) -> dict:
-    return {"checked": max_n, "violations": verify_k_independence(max_n)}
+def check_k_independence(m: int, seq, members: dict, section: dict) -> None:
+    """Record K_m's sequence seq landing on any other K member."""
+    section["violations"] += k_collisions(m, seq, members)
 
 
-def check_reports(max_n: int) -> dict:
-    checked = 0
-    violations = []
-    for family, lo in (("K", 1), ("J", 2)):
-        for n in range(lo, max_n + 1):
-            try:
-                counterexample_report(FamilyId(family, n))
-                checked += 1
-            except TheoremViolationError as exc:
-                violations.append({"member": f"{family}_{n}", "error": str(exc)})
-    return {"checked": checked, "violations": violations}
+def check_reports(fid, seq, section: dict) -> None:
+    """Certify one member from its pinch sequence seq."""
+    try:
+        certify_chain(fid, seq)
+        section["checked"] += 1
+    except TheoremViolationError as exc:
+        section["violations"].append({"member": str(fid), "error": str(exc)})
 
 
 def verify_all(max_n: int, mode: str = "all") -> dict:
@@ -317,37 +327,38 @@ def verify_all(max_n: int, mode: str = "all") -> dict:
     """
     if max_n < 2:
         raise ValueError(f"needs max_n >= 2, got {max_n}")
+    full = mode == "all"
     results = {}
     if mode in ("tables", "all"):
         results["tables"] = check_reference_tables()
-    if mode == "all":
-        results["closed_form"] = check_pinch_numbers_and_closed_form(max_n)
+    if full:
+        results["closed_form"] = {"checked": 0, "violations": []}
     if mode in ("corollaries", "all"):
         results["j_to_k"] = check_j_to_k(max_n)
-        results["k_independence"] = check_k_independence(max_n)
-    if mode == "all":
-        results["reports"] = check_reports(max_n)
+        results["k_independence"] = {"checked": max_n, "violations": []}
+        members = k_members(max_n)
+    if full:
+        results["reports"] = {"checked": 0, "violations": []}
+    # the members whose chains the mode reads; one chain is alive at a time
+    families = {"corollaries": ("K",), "all": ("K", "J")}.get(mode, ())
+    for family in families:
+        for n in range(1 if family == "K" else 2, max_n + 1):
+            fid = FamilyId(family, n)
+            seq = pinch_sequence(family_knot(fid))
+            if family == "K":
+                check_k_independence(n, seq, members, results["k_independence"])
+            if full:
+                check_pinch_numbers_and_closed_form(fid, seq, results["closed_form"])
+                check_reports(fid, seq, results["reports"])
 
-    clean = True
-    if "tables" in results:
-        clean &= all(
-            not results["tables"][fam]["mismatches"] for fam in ("K", "J")
-        )
-    for key in ("closed_form", "j_to_k", "k_independence", "reports"):
-        if key in results:
-            clean &= not results[key]["violations"]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "inputs": {"mode": mode, "max_n": max_n},
-        "results": results,
-        "status": "ok" if clean else "violation",
-    }
+    clean = all(not t["mismatches"] for t in results.get("tables", {}).values())
+    clean &= all(not results[key]["violations"] for key in SECTION_LINES if key in results)
+    status = "ok" if clean else "violation"
+    return _document("verify", {"mode": mode, "max_n": max_n}, results, status)
 
 
 def verify_text(doc: dict) -> list[str]:
     results = doc["results"]
-    max_n = doc["inputs"]["max_n"]
     text = []
     if "tables" in results:
         tk, tj = results["tables"]["K"], results["tables"]["J"]
@@ -355,37 +366,18 @@ def verify_text(doc: dict) -> list[str]:
             f"K: {tk['matched']}/{tk['total']} rows match, "
             f"J: {tj['matched']}/{tj['total']} rows match"
         )
-    if "closed_form" in results:
-        sec = results["closed_form"]
-        text.append(
-            f"pinch numbers and closed form: {sec['checked']} sequences checked, "
-            f"{len(sec['violations'])} violations (n <= {max_n})"
-        )
-    if "j_to_k" in results:
-        sec = results["j_to_k"]
-        text.append(
-            f"four pinches J_n -> K_(n-2): {sec['checked']} checked, "
-            f"{len(sec['violations'])} violations"
-        )
-    if "k_independence" in results:
-        sec = results["k_independence"]
-        text.append(
-            f"K sequences avoid other K members: m, n <= {sec['checked']}, "
-            f"{len(sec['violations'])} collisions"
-        )
-    if "reports" in results:
-        sec = results["reports"]
-        text.append(
-            f"counterexample reports: {sec['checked']} certified, "
-            f"{len(sec['violations'])} violations"
-        )
+    for key, line in SECTION_LINES.items():
+        if key in results:
+            sec = results[key]
+            text.append(line.format(checked=sec["checked"], max_n=doc["inputs"]["max_n"],
+                                    count=len(sec["violations"])))
     text.append(f"status: {doc['status']}")
     return text
 
 
 def run_verify(args):
     doc = verify_all(args.max_n, args.mode)
-    return doc["inputs"], doc["results"], verify_text(doc), doc["status"]
+    return doc["results"], verify_text(doc), doc["status"]
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     tcf.add_argument("den", type=int)
     tap = tsub.add_parser("apply", parents=[common],
                           help="apply [[a,b],[c,d]] to the slope num/den")
-    for name in ("a", "b", "c", "d"):
+    for name in ("a", "b", "c", "d", "num", "den"):
         tap.add_argument(name, type=int)
-    tap.add_argument("num", type=int)
-    tap.add_argument("den", type=int)
 
     knot_args(sub.add_parser("jvc", parents=[common],
                              help="sign sequence and the lower-bound criterion"))
@@ -461,20 +451,12 @@ HANDLERS = {
     "pinch-number": run_pinch_number,
     "family": run_family,
     "surgery-knot": run_surgery_knot,
+    "tangle cf": run_tangle_cf,
+    "tangle apply": run_tangle_apply,
     "jvc": run_jvc,
     "report": run_report,
     "verify": run_verify,
 }
-
-
-def _document(command, inputs, results, status):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "status": status,
-    }
 
 
 def cli_main(argv=None) -> int:
@@ -490,31 +472,30 @@ def cli_main(argv=None) -> int:
     command = args.command
     if command == "tangle":
         command = f"tangle {args.tangle_op}"
-        handler = run_tangle_cf if args.tangle_op == "cf" else run_tangle_apply
-    else:
-        handler = HANDLERS[command]
 
+    # the parsed arguments of the subcommand, in declaration order
+    inputs = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "tangle_op", "json", "quiet")
+    }
     try:
-        inputs, results, text, status = handler(args)
-    except TheoremViolationError as exc:
-        if not quiet:
-            if as_json:
-                doc = _document(command, {}, {"violation": str(exc)}, "violation")
-                print(json.dumps(doc, separators=(",", ":")))
-            print(f"pinchcalc: {exc}", file=sys.stderr)
-        return 1
+        results, text, status = HANDLERS[command](args)
     except (ValueError, RuntimeError) as exc:
+        # a failed theorem check is a violation (1), bad input an error (2),
+        # and any other runtime error an internal bug (3)
+        if isinstance(exc, TheoremViolationError):
+            status, code = "violation", 1
+        else:
+            status, code = "error", 2 if isinstance(exc, ValueError) else 3
         if not quiet:
             if as_json:
-                doc = _document(command, {}, {"error": str(exc)}, "error")
-                print(json.dumps(doc, separators=(",", ":")))
+                print(to_json(_document(command, {}, {status: str(exc)}, status)))
             print(f"pinchcalc: {exc}", file=sys.stderr)
-        return 2
+        return code
 
     if not quiet:
         if as_json:
-            doc = _document(command, inputs, results, status)
-            print(json.dumps(doc, separators=(",", ":")))
+            print(to_json(_document(command, inputs, results, status)))
         else:
             for line in text:
                 print(line)

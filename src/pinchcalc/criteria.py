@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .families import FamilyId, family_knot
-from .pinch import TorusKnotParams, pinch_sequence
+from .pinch import PinchSequence, TorusKnotParams, pinch_sequence
 from .tangles import is_slice_family, surgery_result_knot
 
 
@@ -32,14 +32,25 @@ class SignSequence:
 
 def sign_sequence(k: TorusKnotParams) -> SignSequence:
     """Signs along the pinch sequence of k, orientation sensitive."""
-    seq = pinch_sequence(k)
-    return SignSequence(knot=k, signs=tuple(step.sign for step in seq.steps))
+    return chain_signs(pinch_sequence(k))
+
+
+def chain_signs(seq: PinchSequence) -> SignSequence:
+    """The signs of the moves of an already built pinch sequence."""
+    return SignSequence(knot=seq.start, signs=tuple(step.sign for step in seq.steps))
 
 
 @dataclass(frozen=True)
 class JvcVerdict:
-    negative_count: int
-    equals_pinch_minus_one: bool
+    signs: SignSequence
+
+    @property
+    def negative_count(self) -> int:
+        return self.signs.negative_count
+
+    @property
+    def equals_pinch_minus_one(self) -> bool:
+        return self.negative_count == 1
 
 
 def jvc_criterion(k: TorusKnotParams) -> JvcVerdict:
@@ -53,8 +64,7 @@ def jvc_criterion(k: TorusKnotParams) -> JvcVerdict:
         raise CriterionNotApplicableError(
             f"needs p even and q odd with p, q > 1, got ({k.p}, {k.q})"
         )
-    negatives = sign_sequence(k).negative_count
-    return JvcVerdict(negative_count=negatives, equals_pinch_minus_one=negatives == 1)
+    return JvcVerdict(sign_sequence(k))
 
 
 @dataclass(frozen=True)
@@ -67,45 +77,48 @@ class CounterexampleReport:
     band_count: int
     slice_fraction: ReducedFraction
     slice_cf: EvenCF
-    slice_recognized: bool
     jvc_negative_count: int
     jvc_equals_pinch_minus_one: bool
 
 
 def counterexample_report(fid: FamilyId) -> CounterexampleReport:
-    """Assemble the certificate for K_n (n >= 1) or J_n (n >= 2).
-
-    Pinch number 2n, 2n-1 band surgeries to a recognized slice two-bridge
-    knot, and a failing lower-bound criterion.  Raises
-    TheoremViolationError if a computed piece disagrees with what the
-    construction guarantees.
-    """
+    """Build the pinch sequence of K_n (n >= 1) or J_n (n >= 2) and certify it."""
     if fid.is_trivial:
         raise ValueError("J_1 is unknotted; no counterexample report")
+    return certify_chain(fid, pinch_sequence(family_knot(fid)))
+
+
+def certify_chain(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
+    """The certificate for a knotted member from the pinch sequence seq of its knot.
+
+    Pinch number 2n, 2n-1 band surgeries to a recognized slice two-bridge
+    knot, and a failing lower-bound criterion.  Raises ValueError for a seq
+    starting elsewhere, TheoremViolationError if a computed piece disagrees
+    with what the construction guarantees.
+    """
+    if seq.start != family_knot(fid):
+        raise ValueError(f"{fid} is T{family_knot(fid)}, not T{seq.start}")
     n = fid.n
-    knot = family_knot(fid)
-    seq = pinch_sequence(knot)
-    verdict = jvc_criterion(knot)
+    # family knots are T(even, odd) with both > 1, so the criterion applies
+    verdict = JvcVerdict(chain_signs(seq))
     bridge = surgery_result_knot(fid)
     cf = cf_even_expand(bridge.normalized)
-    recognized = is_slice_family(cf)
     if seq.pinch_number != 2 * n:
         raise TheoremViolationError(
             f"{fid}: pinch number {seq.pinch_number}, expected {2 * n}"
         )
-    if not recognized:
+    if not is_slice_family(cf):
         raise TheoremViolationError(
             f"{fid}: surgery fraction {bridge.normalized} expands to {cf}, "
             "not in the slice family"
         )
     return CounterexampleReport(
         fid=fid,
-        knot=knot,
+        knot=seq.start,
         pinch_number=seq.pinch_number,
         band_count=2 * n - 1,
         slice_fraction=bridge.normalized,
         slice_cf=cf,
-        slice_recognized=recognized,
         jvc_negative_count=verdict.negative_count,
         jvc_equals_pinch_minus_one=verdict.equals_pinch_minus_one,
     )

@@ -7,7 +7,7 @@ J_n to K_{n-2}.
 
 from dataclasses import dataclass
 
-from .pinch import TorusKnotParams, pinch_move, pinch_sequence
+from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_sequence
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,19 @@ def verify_j_to_k(n: int) -> bool:
     return cur.same_knot(expected)
 
 
+def k_members(max_n: int) -> dict[TorusKnotParams, int]:
+    """Canonical K_1..K_max_n knots, each mapped to its index n."""
+    return {
+        family_knot(FamilyId("K", n)).canonical(): n for n in range(1, max_n + 1)
+    }
+
+
+def k_collisions(m: int, seq: PinchSequence, members: dict) -> list[tuple[int, int]]:
+    """(m, n) for each step of K_m's sequence seq landing on another K_n."""
+    hits = (members.get(step.target.canonical()) for step in seq.steps)
+    return [(m, hit) for hit in hits if hit is not None and hit != m]
+
+
 def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
     """Scan the pinch sequences of K_1..K_max_n for visits to other members.
 
@@ -81,14 +94,9 @@ def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
     """
     if max_n < 1:
         raise ValueError(f"needs max_n >= 1, got {max_n}")
-    members = {
-        family_knot(FamilyId("K", n)).canonical(): n for n in range(1, max_n + 1)
-    }
+    members = k_members(max_n)
     violations = []
     for m in range(1, max_n + 1):
         seq = pinch_sequence(family_knot(FamilyId("K", m)))
-        for step in seq.steps:
-            hit = members.get(step.target.canonical())
-            if hit is not None and hit != m:
-                violations.append((m, hit))
+        violations += k_collisions(m, seq, members)
     return violations

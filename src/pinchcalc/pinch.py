@@ -116,7 +116,8 @@ def pinch_move(k: TorusKnotParams) -> PinchStep:
     t, h = pinch_witnesses(p, q)
     raw_p = p - 2 * t
     raw_q = q - 2 * h
-    assert raw_p != 0 or raw_q != 0, k
+    if raw_p == 0 and raw_q == 0:
+        raise RuntimeError(f"T{k}: witnesses ({t}, {h}) leave no sign")
     sign = 1 if (raw_p > 0 or (raw_p == 0 and raw_q > 0)) else -1
     return PinchStep(
         source=k,
@@ -199,7 +200,8 @@ def sweep_termination(limit: int) -> tuple[int, list[tuple[int, int, int, int]]]
                 r, s = s, r
             if r >= 2:
                 below = lengths[r * side + s]
-                assert below > 0, (p, q, r, s)
+                if below <= 0:
+                    raise RuntimeError(f"T({p}, {q}) steps to unswept T({r}, {s})")
                 n_steps = 1 + below
             else:
                 n_steps = 1

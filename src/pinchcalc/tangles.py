@@ -85,11 +85,6 @@ def two_bridge_normalize(t1: ReducedFraction, t2: ReducedFraction) -> TwoBridgeK
     return TwoBridgeKnot(t1=t1, t2=t2, normalized=ReducedFraction(num, raw.den))
 
 
-def two_bridge_determinant(k: TwoBridgeKnot) -> int:
-    """The absolute denominator coordinate of the closure fraction."""
-    return k.determinant()
-
-
 def two_bridge_equivalent(k1: TwoBridgeKnot, k2: TwoBridgeKnot) -> bool:
     """Schubert's criterion on closure fractions: equal determinants with
     numerators related by b' = b or b*b' = 1 (mod determinant)."""

@@ -1,28 +1,207 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from pinchcalc import cli
+from pinchcalc import cli, criteria, pinch
 from pinchcalc.cli import cli_main, fmt_fraction, verify_all
 from pinchcalc.arith import ReducedFraction
+from pinchcalc.pinch import TorusKnotParams
 
-GOLDEN_PINCH_SEQ_4_9 = (
-    '{"schema_version":"1","command":"pinch-seq","inputs":{"p":4,"q":9},'
-    '"results":{"start":[4,9],"steps":['
+
+def doc(command, inputs, results, status="ok"):
+    """A report document as the CLI prints it, from JSON text fragments."""
+    return (
+        f'{{"schema_version":"1","command":"{command}","inputs":{{{inputs}}},'
+        f'"results":{{{results}}},"status":"{status}"}}\n'
+    )
+
+
+GOLDEN_PINCH_SEQ_4_9 = doc(
+    "pinch-seq", '"p":4,"q":9',
+    '"start":[4,9],"steps":['
     '{"from":[4,9],"to":[2,5],"t":3,"h":7,"sign":"-"},'
     '{"from":[2,5],"to":[0,1],"t":1,"h":3,"sign":"-"}],'
-    '"pinch_number":2},"status":"ok"}'
+    '"pinch_number":2',
+)
+TABLES = (
+    '"tables":{"K":{"matched":5,"total":5,"mismatches":[]},'
+    '"J":{"matched":4,"total":4,"mismatches":[]}}'
+)
+CLOSED_FORM_OK = '"closed_form":{"checked":9,"violations":[]}'
+COROLLARIES = (
+    '"j_to_k":{"checked":4,"violations":[]},'
+    '"k_independence":{"checked":5,"violations":[]}'
+)
+REPORTS_OK = '"reports":{"checked":9,"violations":[]}'
+SLICE_VIOLATION_K_2 = (
+    "K_2: surgery fraction -4/25 expands to [-6,-4], not in the slice family"
 )
 
-GOLDEN_REPORT_K_1 = (
-    '{"schema_version":"1","command":"report","inputs":{"family":"K","n":1},'
-    '"results":{"family":"K","n":1,"knot":[4,9],"pinch_number":2,'
-    '"band_count":1,"slice_fraction":[-2,9],"slice_cf":[-4,-2],'
-    '"slice_recognized":true,"jvc_negative_count":2,'
-    '"jvc_equals_pinch_minus_one":false},"status":"ok"}'
-)
+
+def corrupt_closed_form(monkeypatch):
+    """Closed form wrong at K_3 steps 1 and 4 and at J_2 step 0."""
+    real = cli.closed_form_step
+
+    def fake(n, eps, k):
+        if (n, eps, k) in {(3, 1, 1), (3, 1, 4), (2, -1, 0)}:
+            return TorusKnotParams(1, 0)
+        return real(n, eps, k)
+
+    monkeypatch.setattr(cli, "closed_form_step", fake)
+
+
+def reject_slice(monkeypatch):
+    """Slice recognition fails for K_2 ([-6,-4]) and J_4 ([-6,-8])."""
+    real = criteria.is_slice_family
+    monkeypatch.setattr(
+        criteria, "is_slice_family",
+        lambda cf: cf.coeffs not in {(-6, -4), (-6, -8)} and real(cf),
+    )
+
+
+def no_patch(monkeypatch):
+    pass
+
+
+# (argv, patch, exit code, stdout, stderr): every byte of the output pinned
+GOLDEN = [
+    pytest.param(
+        ["pinch-seq", "4", "9", "--json"], no_patch, 0, GOLDEN_PINCH_SEQ_4_9, "",
+        id="pinch-seq",
+    ),
+    pytest.param(
+        ["--json", "pinch-seq", "4", "9"], no_patch, 0, GOLDEN_PINCH_SEQ_4_9, "",
+        id="json-flag-first",
+    ),
+    pytest.param(
+        ["pinch-move", "4", "9", "--json"], no_patch, 0,
+        doc("pinch-move", '"p":4,"q":9',
+            '"from":[4,9],"to":[2,5],"t":3,"h":7,"sign":"-",'
+            '"p_minus_2t":-2,"q_minus_2h":-5'),
+        "", id="pinch-move",
+    ),
+    pytest.param(
+        ["family", "K", "3", "--json"], no_patch, 0,
+        doc("family", '"family":"K","n":3',
+            '"family":"K","n":3,"knot":[12,49],"trivial":false'),
+        "", id="family",
+    ),
+    pytest.param(
+        ["surgery-knot", "J", "2", "--json"], no_patch, 0,
+        doc("surgery-knot", '"family":"J","n":2',
+            '"family":"J","n":2,"tangle1":[1,3],"tangle2":[4,3],'
+            '"normalized":[-4,9],"cf":[-2,-4],"determinant":9,'
+            '"slice_recognized":true'),
+        "", id="surgery-knot",
+    ),
+    pytest.param(
+        ["tangle", "cf", "2", "-9", "--json"], no_patch, 0,
+        doc("tangle cf", '"num":2,"den":-9', '"fraction":[-2,9],"cf":[-4,-2]'),
+        "", id="tangle-cf",
+    ),
+    pytest.param(
+        ["tangle", "apply", "1", "0", "-7", "1", "4", "3", "--json"], no_patch, 0,
+        doc("tangle apply", '"a":1,"b":0,"c":-7,"d":1,"num":4,"den":3',
+            '"matrix":[[1,0],[-7,1]],"fraction":[4,3],"image":[-4,25]'),
+        "", id="tangle-apply",
+    ),
+    pytest.param(
+        ["jvc", "8", "9", "--json"], no_patch, 0,
+        doc("jvc", '"p":8,"q":9',
+            '"knot":[8,9],"signs":["-","-","-","-"],"negative_count":4,'
+            '"equals_pinch_minus_one":false'),
+        "", id="jvc",
+    ),
+    pytest.param(
+        ["report", "K", "1", "--json"], no_patch, 0,
+        doc("report", '"family":"K","n":1',
+            '"family":"K","n":1,"knot":[4,9],"pinch_number":2,'
+            '"band_count":1,"slice_fraction":[-2,9],"slice_cf":[-4,-2],'
+            '"slice_recognized":true,"jvc_negative_count":2,'
+            '"jvc_equals_pinch_minus_one":false'),
+        "", id="report-K-1",
+    ),
+    pytest.param(
+        ["report", "J", "2", "--json"], no_patch, 0,
+        doc("report", '"family":"J","n":2',
+            '"family":"J","n":2,"knot":[8,9],"pinch_number":4,'
+            '"band_count":3,"slice_fraction":[-4,9],"slice_cf":[-2,-4],'
+            '"slice_recognized":true,"jvc_negative_count":4,'
+            '"jvc_equals_pinch_minus_one":false'),
+        "", id="report-J-2",
+    ),
+    pytest.param(
+        ["verify", "tables", "--json"], no_patch, 0,
+        doc("verify", '"mode":"tables","max_n":50', TABLES),
+        "", id="verify-tables",
+    ),
+    pytest.param(
+        ["verify", "all", "--max-n", "5", "--json"], no_patch, 0,
+        doc("verify", '"mode":"all","max_n":5',
+            f"{TABLES},{CLOSED_FORM_OK},{COROLLARIES},{REPORTS_OK}"),
+        "", id="verify-all",
+    ),
+    pytest.param(
+        ["verify", "corollaries", "--max-n", "5", "--json"], no_patch, 0,
+        doc("verify", '"mode":"corollaries","max_n":5', COROLLARIES),
+        "", id="verify-corollaries",
+    ),
+    pytest.param(
+        ["pinch-move", "4", "6", "--json"], no_patch, 2,
+        doc("pinch-move", "", '"error":"(4, 6) is not a coprime pair"', "error"),
+        "pinchcalc: (4, 6) is not a coprime pair\n", id="error",
+    ),
+    pytest.param(
+        ["verify", "all", "--max-n", "5", "--json"], corrupt_closed_form, 1,
+        doc("verify", '"mode":"all","max_n":5',
+            f"{TABLES},"
+            '"closed_form":{"checked":9,"violations":['
+            '{"member":"K_3","k":1,"closed_form":[0,1],"engine":[10,41]},'
+            '{"member":"K_3","k":4,"closed_form":[0,1],"engine":[4,17]},'
+            '{"member":"J_2","k":0,"closed_form":[0,1],"engine":[8,9]}]},'
+            f"{COROLLARIES},{REPORTS_OK}", "violation"),
+        "", id="closed-form-violation",
+    ),
+    pytest.param(
+        ["verify", "all", "--max-n", "5"], corrupt_closed_form, 1,
+        "K: 5/5 rows match, J: 4/4 rows match\n"
+        "pinch numbers and closed form: 9 sequences checked, 3 violations (n <= 5)\n"
+        "four pinches J_n -> K_(n-2): 4 checked, 0 violations\n"
+        "K sequences avoid other K members: m, n <= 5, 0 collisions\n"
+        "counterexample reports: 9 certified, 0 violations\n"
+        "status: violation\n",
+        "", id="closed-form-violation-text",
+    ),
+    pytest.param(
+        ["verify", "all", "--max-n", "5", "--json"], reject_slice, 1,
+        doc("verify", '"mode":"all","max_n":5',
+            f"{TABLES},{CLOSED_FORM_OK},{COROLLARIES},"
+            '"reports":{"checked":7,"violations":['
+            f'{{"member":"K_2","error":"{SLICE_VIOLATION_K_2}"}},'
+            '{"member":"J_4","error":"J_4: surgery fraction -8/49 expands to '
+            '[-6,-8], not in the slice family"}]}', "violation"),
+        "", id="reports-violation",
+    ),
+    pytest.param(
+        ["verify", "all", "--max-n", "5"], reject_slice, 1,
+        "K: 5/5 rows match, J: 4/4 rows match\n"
+        "pinch numbers and closed form: 9 sequences checked, 0 violations (n <= 5)\n"
+        "four pinches J_n -> K_(n-2): 4 checked, 0 violations\n"
+        "K sequences avoid other K members: m, n <= 5, 0 collisions\n"
+        "counterexample reports: 7 certified, 2 violations\n"
+        "status: violation\n",
+        "", id="reports-violation-text",
+    ),
+    pytest.param(
+        ["report", "K", "2", "--json"], reject_slice, 1,
+        doc("report", "", f'"violation":"{SLICE_VIOLATION_K_2}"', "violation"),
+        f"pinchcalc: {SLICE_VIOLATION_K_2}\n", id="report-violation",
+    ),
+]
 
 
 def run_cli(capsys, *argv):
@@ -32,32 +211,10 @@ def run_cli(capsys, *argv):
 
 
 class TestGoldenJson:
-    def test_pinch_seq_4_9(self, capsys):
-        code, out, _ = run_cli(capsys, "pinch-seq", "4", "9", "--json")
-        assert code == 0
-        assert out.strip() == GOLDEN_PINCH_SEQ_4_9
-
-    def test_report_k_1(self, capsys):
-        code, out, _ = run_cli(capsys, "report", "K", "1", "--json")
-        assert code == 0
-        assert out.strip() == GOLDEN_REPORT_K_1
-
-    def test_flag_position_prefix(self, capsys):
-        code, out, _ = run_cli(capsys, "--json", "pinch-seq", "4", "9")
-        assert code == 0
-        assert out.strip() == GOLDEN_PINCH_SEQ_4_9
-
-    def test_documents_parse_with_stable_top_level(self, capsys):
-        for argv in (["family", "K", "3"], ["jvc", "8", "9"],
-                     ["tangle", "cf", "2", "-9"], ["surgery-knot", "J", "2"],
-                     ["verify", "tables"]):
-            code, out, _ = run_cli(capsys, *argv, "--json")
-            assert code == 0
-            doc = json.loads(out)
-            assert list(doc) == [
-                "schema_version", "command", "inputs", "results", "status",
-            ]
-            assert doc["status"] == "ok"
+    @pytest.mark.parametrize("argv, patch, code, out, err", GOLDEN)
+    def test_document(self, capsys, monkeypatch, argv, patch, code, out, err):
+        patch(monkeypatch)
+        assert run_cli(capsys, *argv) == (code, out, err)
 
 
 class TestTextOutput:
@@ -142,6 +299,16 @@ class TestExitCodes:
         assert code == 1
         assert "K: 4/5 rows match" in out
 
+    def test_internal_error_exit_3(self, capsys, monkeypatch):
+        # a pinch sequence outrunning its cap is a bug, not a bad input
+        monkeypatch.setattr(pinch, "iteration_cap", lambda k: 0)
+        message = "T(4,9) still nontrivial after 0 pinches"
+        code, out, err = run_cli(capsys, "pinch-seq", "4", "9", "--json")
+        assert code == 3
+        assert out == doc("pinch-seq", "", f'"error":"{message}"', "error")
+        assert err == f"pinchcalc: {message}\n"
+        assert run_cli(capsys, "pinch-seq", "4", "9", "--quiet") == (3, "", "")
+
     def test_json_error_document(self, capsys):
         code, out, err = run_cli(capsys, "pinch-move", "4", "6", "--json")
         assert code == 2
@@ -151,10 +318,13 @@ class TestExitCodes:
 
 
 class TestSubprocessHarness:
+    # child interpreters import the same pinchcalc as this test run
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
     def _run(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "pinchcalc", *argv],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=self.env,
         )
 
     def test_success(self):
@@ -177,6 +347,26 @@ class TestSubprocessHarness:
         doc = json.loads(proc.stdout)
         assert doc["results"]["slice_cf"] == [-2, -4]
         assert doc["results"]["band_count"] == 3
+
+
+    @pytest.mark.parametrize("witnesses, call", [
+        ("lambda p, q: (0, 0)", "sweep_termination(10)"),
+        ("lambda p, q: (p / 2, q / 2)", "pinch_move(TorusKnotParams(4, 9))"),
+    ], ids=["sweep-memo", "pinch-move-sign"])
+    def test_broken_invariant_raises_under_O(self, witnesses, call):
+        # python -O strips assert statements; the invariants must still hold
+        script = (
+            "from pinchcalc import pinch\n"
+            "from pinchcalc.pinch import *\n"
+            f"pinch.pinch_witnesses = {witnesses}\n"
+            f"{call}\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=self.env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith("RuntimeError: ")
 
 
 class TestVerifyAll:

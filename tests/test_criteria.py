@@ -3,12 +3,13 @@ import pytest
 from pinchcalc.arith import ReducedFraction
 from pinchcalc.criteria import (
     CriterionNotApplicableError,
+    certify_chain,
     counterexample_report,
     jvc_criterion,
     sign_sequence,
 )
-from pinchcalc.families import FamilyId
-from pinchcalc.pinch import TorusKnotParams
+from pinchcalc.families import FamilyId, family_knot
+from pinchcalc.pinch import TorusKnotParams, pinch_sequence
 
 
 class TestSignSequence:
@@ -67,7 +68,6 @@ class TestCounterexampleReport:
         assert r.band_count == 1
         assert r.slice_fraction == ReducedFraction(-2, 9)
         assert r.slice_cf.coeffs == (-4, -2)
-        assert r.slice_recognized
         assert r.jvc_negative_count == 2
         assert not r.jvc_equals_pinch_minus_one
 
@@ -77,7 +77,6 @@ class TestCounterexampleReport:
         assert r.band_count == 3
         assert r.slice_fraction == ReducedFraction(-4, 25)
         assert r.slice_cf.coeffs == (-6, -4)
-        assert r.slice_recognized
 
     def test_j2(self):
         r = counterexample_report(FamilyId("J", 2))
@@ -85,7 +84,13 @@ class TestCounterexampleReport:
         assert r.band_count == 3
         assert r.slice_fraction == ReducedFraction(-4, 9)
         assert r.slice_cf.coeffs == (-2, -4)
-        assert r.slice_recognized
+
+    def test_certify_chain_needs_the_members_own_chain(self):
+        k3_chain = pinch_sequence(family_knot(FamilyId("K", 3)))
+        assert certify_chain(FamilyId("K", 3), k3_chain) == counterexample_report(
+            FamilyId("K", 3))
+        with pytest.raises(ValueError):
+            certify_chain(FamilyId("J", 3), k3_chain)
 
     def test_trivial_member_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +102,5 @@ class TestCounterexampleReport:
                 r = counterexample_report(FamilyId(fam, n))
                 assert r.pinch_number == 2 * n
                 assert r.band_count == 2 * n - 1
-                assert r.slice_recognized
                 assert r.jvc_negative_count == 2 * n
                 assert not r.jvc_equals_pinch_minus_one

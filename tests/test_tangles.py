@@ -13,7 +13,6 @@ from pinchcalc.tangles import (
     mat_apply,
     mat_mul,
     surgery_result_knot,
-    two_bridge_determinant,
     two_bridge_equivalent,
     two_bridge_normalize,
 )
@@ -146,9 +145,9 @@ class TestSurgeryResult:
             surgery_result_knot(FamilyId("J", 1))
 
     def test_determinants_are_odd_squares(self):
-        assert two_bridge_determinant(surgery_result_knot(FamilyId("K", 1))) == 9
-        assert two_bridge_determinant(surgery_result_knot(FamilyId("K", 2))) == 25
-        assert two_bridge_determinant(surgery_result_knot(FamilyId("J", 2))) == 9
+        assert surgery_result_knot(FamilyId("K", 1)).determinant() == 9
+        assert surgery_result_knot(FamilyId("K", 2)).determinant() == 25
+        assert surgery_result_knot(FamilyId("J", 2)).determinant() == 9
 
     def test_family_formula(self):
         for fam, eps, lo in (("K", 1, 1), ("J", -1, 2)):
