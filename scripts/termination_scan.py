@@ -3,7 +3,8 @@
 
 Sweeps every coprime pair 2 <= p <= q <= limit with a memoized engine and
 reports any pair whose sequence length exceeds min(p, q) // 2 + 1.  Memory
-grows quadratically with the limit (about 50 MB at 5000).
+grows quadratically with the limit (about 50 MB at 5000); a limit above 23169,
+whose table would pass 1 GiB, is refused with exit code 2.
 
 Example:
     python3 scripts/termination_scan.py --limit 5000
@@ -21,7 +22,10 @@ def main() -> None:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    checked, violations = sweep_termination(args.limit)
+    try:
+        checked, violations = sweep_termination(args.limit)
+    except ValueError as exc:
+        ap.error(str(exc))
     elapsed = time.perf_counter() - t0
 
     print(f"coprime pairs checked: {checked} (2 <= p <= q <= {args.limit})")

@@ -20,7 +20,6 @@ from .arith import (
 from .criteria import (
     CounterexampleReport,
     CriterionNotApplicableError,
-    JvcVerdict,
     SignSequence,
     TheoremViolationError,
     certify_chain,

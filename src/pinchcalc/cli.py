@@ -103,11 +103,11 @@ def step_payload(step) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results, text_lines, status)
+# subcommand handlers: parsed arguments in, (results, text_lines, status) out
 
 
-def run_pinch_move(args):
-    step = pinch_move(TorusKnotParams(args.p, args.q))
+def run_pinch_move(p, q):
+    step = pinch_move(TorusKnotParams(p, q))
     results = step_payload(step)
     results["p_minus_2t"] = step.p_minus_2t
     results["q_minus_2h"] = step.q_minus_2h
@@ -118,8 +118,8 @@ def run_pinch_move(args):
     return results, text, "ok"
 
 
-def run_pinch_seq(args):
-    seq = pinch_sequence(TorusKnotParams(args.p, args.q))
+def run_pinch_seq(p, q):
+    seq = pinch_sequence(TorusKnotParams(p, q))
     results = {
         "start": seq.start,
         "steps": [step_payload(s) for s in seq.steps],
@@ -134,14 +134,14 @@ def run_pinch_seq(args):
     return results, text, "ok"
 
 
-def run_pinch_number(args):
-    knot = TorusKnotParams(args.p, args.q)
+def run_pinch_number(p, q):
+    knot = TorusKnotParams(p, q)
     n = pinch_sequence(knot).pinch_number
     return {"start": knot, "pinch_number": n}, [str(n)], "ok"
 
 
-def run_family(args):
-    fid = FamilyId(args.family, args.n)
+def run_family(family, n):
+    fid = FamilyId(family, n)
     knot = family_knot(fid)
     results = {
         "family": fid.family,
@@ -153,8 +153,8 @@ def run_family(args):
     return results, [f"{fid} = T{knot}{suffix}"], "ok"
 
 
-def run_surgery_knot(args):
-    fid = FamilyId(args.family, args.n)
+def run_surgery_knot(family, n):
+    fid = FamilyId(family, n)
     bridge = surgery_result_knot(fid)
     cf = cf_even_expand(bridge.normalized)
     recognized = is_slice_family(cf)
@@ -179,15 +179,15 @@ def run_surgery_knot(args):
     return results, text, "ok"
 
 
-def run_tangle_cf(args):
-    f = ReducedFraction(args.num, args.den)
+def run_tangle_cf(num, den):
+    f = ReducedFraction(num, den)
     cf = cf_even_expand(f)
     return {"fraction": f, "cf": cf}, [str(cf)], "ok"
 
 
-def run_tangle_apply(args):
-    m = MatSL2(args.a, args.b, args.c, args.d)
-    f = ReducedFraction(args.num, args.den)
+def run_tangle_apply(a, b, c, d, num, den):
+    m = MatSL2(a, b, c, d)
+    f = ReducedFraction(num, den)
     image = mat_apply(m, f)
     results = {
         "matrix": [[m.a, m.b], [m.c, m.d]],
@@ -197,11 +197,11 @@ def run_tangle_apply(args):
     return results, [fmt_fraction(image)], "ok"
 
 
-def run_jvc(args):
-    verdict = jvc_criterion(TorusKnotParams(args.p, args.q))
-    signs = [fmt_sign(s) for s in verdict.signs.signs]
+def run_jvc(p, q):
+    verdict = jvc_criterion(TorusKnotParams(p, q))
+    signs = [fmt_sign(s) for s in verdict.signs]
     results = {
-        "knot": verdict.signs.knot,
+        "knot": verdict.knot,
         "signs": signs,
         "negative_count": verdict.negative_count,
         "equals_pinch_minus_one": verdict.equals_pinch_minus_one,
@@ -215,8 +215,8 @@ def run_jvc(args):
     return results, text, "ok"
 
 
-def run_report(args):
-    fid = FamilyId(args.family, args.n)
+def run_report(family, n):
+    fid = FamilyId(family, n)
     rep = counterexample_report(fid)
     # counterexample_report raises unless the slice family is recognized
     results = {
@@ -247,6 +247,13 @@ def run_report(args):
 # ---------------------------------------------------------------------------
 # verification harness: verify_all builds each member's pinch sequence once
 # and hands it to the per-member checks below
+
+# the sections each verify mode runs, in document order
+MODES = {
+    "tables": ("tables",),
+    "corollaries": ("j_to_k", "k_independence"),
+    "all": ("tables", "closed_form", "j_to_k", "k_independence", "reports"),
+}
 
 # summary line of each section after the tables, in document order
 SECTION_LINES = {
@@ -308,6 +315,7 @@ def check_j_to_k(max_n: int) -> dict:
 def check_k_independence(m: int, seq, members: dict, section: dict) -> None:
     """Record K_m's sequence seq landing on any other K member."""
     section["violations"] += k_collisions(m, seq, members)
+    section["checked"] += 1
 
 
 def check_reports(fid, seq, section: dict) -> None:
@@ -323,32 +331,32 @@ def verify_all(max_n: int, mode: str = "all") -> dict:
     """Run the requested verification sections and aggregate violations.
 
     Returns a full report document; status is "violation" when any section
-    found one, "ok" otherwise.
+    found one, "ok" otherwise.  Raises ValueError for a mode not in MODES.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown verify mode {mode!r}, expected one of {list(MODES)}")
     if max_n < 2:
         raise ValueError(f"needs max_n >= 2, got {max_n}")
-    full = mode == "all"
-    results = {}
-    if mode in ("tables", "all"):
+    results = {key: {"checked": 0, "violations": []} for key in MODES[mode]}
+    if "tables" in results:
         results["tables"] = check_reference_tables()
-    if full:
-        results["closed_form"] = {"checked": 0, "violations": []}
-    if mode in ("corollaries", "all"):
+    if "j_to_k" in results:
         results["j_to_k"] = check_j_to_k(max_n)
-        results["k_independence"] = {"checked": max_n, "violations": []}
-        members = k_members(max_n)
-    if full:
-        results["reports"] = {"checked": 0, "violations": []}
-    # the members whose chains the mode reads; one chain is alive at a time
-    families = {"corollaries": ("K",), "all": ("K", "J")}.get(mode, ())
-    for family in families:
+    members = k_members(max_n) if "k_independence" in results else {}
+    certify = "closed_form" in results or "reports" in results
+    # K_1..K_N for any per-member section, then J_2..J_N for the certifying
+    # ones; one chain is alive at a time
+    for family in ("K", "J"):
+        if not (certify or members and family == "K"):
+            continue
         for n in range(1 if family == "K" else 2, max_n + 1):
             fid = FamilyId(family, n)
             seq = pinch_sequence(family_knot(fid))
-            if family == "K":
+            if members and family == "K":
                 check_k_independence(n, seq, members, results["k_independence"])
-            if full:
+            if "closed_form" in results:
                 check_pinch_numbers_and_closed_form(fid, seq, results["closed_form"])
+            if "reports" in results:
                 check_reports(fid, seq, results["reports"])
 
     clean = all(not t["mismatches"] for t in results.get("tables", {}).values())
@@ -375,8 +383,8 @@ def verify_text(doc: dict) -> list[str]:
     return text
 
 
-def run_verify(args):
-    doc = verify_all(args.max_n, args.mode)
+def run_verify(mode, max_n):
+    doc = verify_all(max_n, mode)
     return doc["results"], verify_text(doc), doc["status"]
 
 
@@ -384,7 +392,30 @@ def run_verify(args):
 # parser and dispatch
 
 
+# each command: (handler, help, arguments); a bare argument name is an int
+KNOT = ["p", "q"]
+MEMBER = [("family", {"choices": ["K", "J"]}), "n"]
+COMMANDS = {
+    "pinch-move": (run_pinch_move, "one pinch move with witnesses and sign", KNOT),
+    "pinch-seq": (run_pinch_seq, "the full pinch sequence down to the unknot", KNOT),
+    "pinch-number": (run_pinch_number, "number of pinch moves to the unknot", KNOT),
+    "family": (run_family, "the torus knot K_n or J_n", MEMBER),
+    "surgery-knot": (run_surgery_knot, "two-bridge knot left by the band surgeries",
+                     MEMBER),
+    "tangle cf": (run_tangle_cf, "all-even continued fraction of num/den",
+                  ["num", "den"]),
+    "tangle apply": (run_tangle_apply, "apply [[a,b],[c,d]] to the slope num/den",
+                     ["a", "b", "c", "d", "num", "den"]),
+    "jvc": (run_jvc, "sign sequence and the lower-bound criterion", KNOT),
+    "report": (run_report, "full counterexample certificate", MEMBER),
+    "verify": (run_verify, "recompute and diff the published results",
+               [("mode", {"choices": list(MODES)}),
+                ("--max-n", {"type": int, "default": 50, "dest": "max_n"})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per COMMANDS entry; each sets args.command to the entry's name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS,
@@ -401,85 +432,33 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def knot_args(p):
-        p.add_argument("p", type=int)
-        p.add_argument("q", type=int)
-
-    def family_args(p):
-        p.add_argument("family", choices=["K", "J"])
-        p.add_argument("n", type=int)
-
-    knot_args(sub.add_parser("pinch-move", parents=[common],
-                             help="one pinch move with witnesses and sign"))
-    knot_args(sub.add_parser("pinch-seq", parents=[common],
-                             help="the full pinch sequence down to the unknot"))
-    knot_args(sub.add_parser("pinch-number", parents=[common],
-                             help="number of pinch moves to the unknot"))
-    family_args(sub.add_parser("family", parents=[common],
-                               help="the torus knot K_n or J_n"))
-    family_args(sub.add_parser("surgery-knot", parents=[common],
-                               help="two-bridge knot left by the band surgeries"))
-
-    tangle = sub.add_parser("tangle", parents=[common],
-                            help="rational tangle fraction operations")
-    tsub = tangle.add_subparsers(dest="tangle_op", required=True)
-    tcf = tsub.add_parser("cf", parents=[common],
-                          help="all-even continued fraction of num/den")
-    tcf.add_argument("num", type=int)
-    tcf.add_argument("den", type=int)
-    tap = tsub.add_parser("apply", parents=[common],
-                          help="apply [[a,b],[c,d]] to the slope num/den")
-    for name in ("a", "b", "c", "d", "num", "den"):
-        tap.add_argument(name, type=int)
-
-    knot_args(sub.add_parser("jvc", parents=[common],
-                             help="sign sequence and the lower-bound criterion"))
-    family_args(sub.add_parser("report", parents=[common],
-                               help="full counterexample certificate"))
-
-    ver = sub.add_parser("verify", parents=[common],
-                         help="recompute and diff the published results")
-    ver.add_argument("mode", choices=["tables", "corollaries", "all"])
-    ver.add_argument("--max-n", type=int, default=50, dest="max_n")
+    for command, (_, help_text, arguments) in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        if group and group not in sub.choices:
+            tangle = sub.add_parser(group, parents=[common],
+                                    help="rational tangle fraction operations")
+            tangle_ops = tangle.add_subparsers(dest="tangle_op", required=True)
+        leaf = (tangle_ops if group else sub).add_parser(
+            name, parents=[common], help=help_text)
+        leaf.set_defaults(command=command)
+        for arg in arguments:
+            arg_name, kwargs = (arg, {"type": int}) if isinstance(arg, str) else arg
+            leaf.add_argument(arg_name, **kwargs)
     return parser
 
 
-HANDLERS = {
-    "pinch-move": run_pinch_move,
-    "pinch-seq": run_pinch_seq,
-    "pinch-number": run_pinch_number,
-    "family": run_family,
-    "surgery-knot": run_surgery_knot,
-    "tangle cf": run_tangle_cf,
-    "tangle apply": run_tangle_apply,
-    "jvc": run_jvc,
-    "report": run_report,
-    "verify": run_verify,
-}
-
-
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        inputs = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    as_json = getattr(args, "json", False)
-    quiet = getattr(args, "quiet", False)
-
-    command = args.command
-    if command == "tangle":
-        command = f"tangle {args.tangle_op}"
-
-    # the parsed arguments of the subcommand, in declaration order
-    inputs = {
-        key: value for key, value in vars(args).items()
-        if key not in ("command", "tangle_op", "json", "quiet")
-    }
+    # what is left are the parsed arguments of the subcommand, in declaration order
+    command = inputs.pop("command")
+    inputs.pop("tangle_op", None)
+    as_json = inputs.pop("json", False)
+    quiet = inputs.pop("quiet", False)
     try:
-        results, text, status = HANDLERS[command](args)
+        results, text, status = COMMANDS[command][0](**inputs)
     except (ValueError, RuntimeError) as exc:
         # a failed theorem check is a violation (1), bad input an error (2),
         # and any other runtime error an internal bug (3)

@@ -29,6 +29,11 @@ class SignSequence:
     def negative_count(self) -> int:
         return sum(1 for s in self.signs if s < 0)
 
+    @property
+    def equals_pinch_minus_one(self) -> bool:
+        """The Jabuka-Van Cott verdict: the lower bound reaches pinch number - 1."""
+        return self.negative_count == 1
+
 
 def sign_sequence(k: TorusKnotParams) -> SignSequence:
     """Signs along the pinch sequence of k, orientation sensitive."""
@@ -40,20 +45,7 @@ def chain_signs(seq: PinchSequence) -> SignSequence:
     return SignSequence(knot=seq.start, signs=tuple(step.sign for step in seq.steps))
 
 
-@dataclass(frozen=True)
-class JvcVerdict:
-    signs: SignSequence
-
-    @property
-    def negative_count(self) -> int:
-        return self.signs.negative_count
-
-    @property
-    def equals_pinch_minus_one(self) -> bool:
-        return self.negative_count == 1
-
-
-def jvc_criterion(k: TorusKnotParams) -> JvcVerdict:
+def jvc_criterion(k: TorusKnotParams) -> SignSequence:
     """The combinatorial Jabuka-Van Cott test for p even, q odd, both > 1.
 
     The lower bound nu - sigma/2 equals pinch number minus one exactly when
@@ -64,7 +56,7 @@ def jvc_criterion(k: TorusKnotParams) -> JvcVerdict:
         raise CriterionNotApplicableError(
             f"needs p even and q odd with p, q > 1, got ({k.p}, {k.q})"
         )
-    return JvcVerdict(sign_sequence(k))
+    return sign_sequence(k)
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ def certify_chain(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
         raise ValueError(f"{fid} is T{family_knot(fid)}, not T{seq.start}")
     n = fid.n
     # family knots are T(even, odd) with both > 1, so the criterion applies
-    verdict = JvcVerdict(chain_signs(seq))
+    signs = chain_signs(seq)
     bridge = surgery_result_knot(fid)
     cf = cf_even_expand(bridge.normalized)
     if seq.pinch_number != 2 * n:
@@ -119,6 +111,6 @@ def certify_chain(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
         band_count=2 * n - 1,
         slice_fraction=bridge.normalized,
         slice_cf=cf,
-        jvc_negative_count=verdict.negative_count,
-        jvc_equals_pinch_minus_one=verdict.equals_pinch_minus_one,
+        jvc_negative_count=signs.negative_count,
+        jvc_equals_pinch_minus_one=signs.equals_pinch_minus_one,
     )

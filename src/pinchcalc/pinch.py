@@ -162,6 +162,10 @@ def pinch_number(k: TorusKnotParams) -> int:
     return pinch_sequence(k).pinch_number
 
 
+# the largest lengths table sweep_termination allocates, in bytes (limit 23169)
+SWEEP_MAX_BYTES = 1 << 30
+
+
 def sweep_termination(limit: int) -> tuple[int, list[tuple[int, int, int, int]]]:
     """Check every coprime pair 2 <= p <= q <= limit against the iteration cap.
 
@@ -171,11 +175,13 @@ def sweep_termination(limit: int) -> tuple[int, list[tuple[int, int, int, int]]]
     (pairs_checked, violations) where each violation is (p, q, length, cap);
     an empty list means every pinch sequence in range fits its cap.
 
-    Memory grows quadratically in limit: limit = 5000 needs about 50 MB.
+    Raises ValueError when the 2 (limit+1)^2 byte table would pass SWEEP_MAX_BYTES.
     """
     if limit < 2:
         return 0, []
     side = limit + 1
+    if 2 * side * side > SWEEP_MAX_BYTES:
+        raise ValueError(f"limit {limit} needs a table over {SWEEP_MAX_BYTES} bytes")
     lengths = array("h", [0]) * (side * side)
     witnesses = pinch_witnesses
     pair_gcd = gcd

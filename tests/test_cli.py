@@ -151,6 +151,78 @@ GOLDEN = [
         "", id="verify-corollaries",
     ),
     pytest.param(
+        ["pinch-move", "4", "9"], no_patch, 0,
+        "(4,9) -> (2,5)  t=3  h=7  sign=-\n", "", id="pinch-move-text",
+    ),
+    pytest.param(
+        ["pinch-seq", "8", "25"], no_patch, 0,
+        "    (8,25) -> (6,19)     t=7      h=22     sign=-\n"
+        "    (6,19) -> (4,13)     t=5      h=16     sign=-\n"
+        "    (4,13) -> (2,7)      t=3      h=10     sign=-\n"
+        "     (2,7) -> (0,1)      t=1      h=4      sign=-\n"
+        "pinch number: 4\n",
+        "", id="pinch-seq-text",
+    ),
+    pytest.param(
+        ["pinch-number", "20", "81"], no_patch, 0, "10\n", "", id="pinch-number-text",
+    ),
+    pytest.param(
+        ["family", "K", "3"], no_patch, 0, "K_3 = T(12,49)\n", "", id="family-text",
+    ),
+    pytest.param(
+        ["family", "J", "1"], no_patch, 0, "J_1 = T(4,1) (unknot)\n", "",
+        id="family-trivial-text",
+    ),
+    pytest.param(
+        ["surgery-knot", "K", "2"], no_patch, 0,
+        "K_2 bands leave the union of tangles 1/7 and 4/3\n"
+        "normalized fraction: 4/-25\n"
+        "even continued fraction: [-6,-4]\n"
+        "determinant: 25\n"
+        "slice family member: yes\n",
+        "", id="surgery-knot-text",
+    ),
+    pytest.param(
+        ["tangle", "cf", "2", "-9"], no_patch, 0, "[-4,-2]\n", "", id="tangle-cf-text",
+    ),
+    pytest.param(
+        ["tangle", "apply", "1", "0", "-7", "1", "4", "3"], no_patch, 0, "4/-25\n", "",
+        id="tangle-apply-text",
+    ),
+    pytest.param(
+        ["jvc", "8", "9"], no_patch, 0,
+        "sign sequence: [-,-,-,-]\n"
+        "negative count: 4\n"
+        "lower bound reaches pinch number - 1: no\n",
+        "", id="jvc-text",
+    ),
+    pytest.param(
+        ["report", "K", "1"], no_patch, 0,
+        "K_1 = T(4,9)\n"
+        "pinch number: 2\n"
+        "band surgeries to a slice knot: 1\n"
+        "slice knot fraction: 2/-9\n"
+        "even continued fraction: [-4,-2]\n"
+        "slice family recognized: yes\n"
+        "negative pinch signs: 2 (equals pinch number - 1: no)\n",
+        "", id="report-text",
+    ),
+    pytest.param(
+        ["verify", "tables"], no_patch, 0,
+        "K: 5/5 rows match, J: 4/4 rows match\nstatus: ok\n", "",
+        id="verify-tables-text",
+    ),
+    pytest.param(
+        ["verify", "corollaries", "--max-n", "5"], no_patch, 0,
+        "four pinches J_n -> K_(n-2): 4 checked, 0 violations\n"
+        "K sequences avoid other K members: m, n <= 5, 0 collisions\n"
+        "status: ok\n",
+        "", id="verify-corollaries-text",
+    ),
+    pytest.param(
+        ["jvc", "8", "9", "--quiet"], no_patch, 0, "", "", id="quiet",
+    ),
+    pytest.param(
         ["pinch-move", "4", "6", "--json"], no_patch, 2,
         doc("pinch-move", "", '"error":"(4, 6) is not a coprime pair"', "error"),
         "pinchcalc: (4, 6) is not a coprime pair\n", id="error",
@@ -262,6 +334,26 @@ class TestTextOutput:
         assert code == 0 and out == ""
 
 
+class TestHelpAndUsage:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_command_help(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split(), "--help")
+        assert code == 0
+        assert out.startswith(f"usage: pinchcalc {command} ")
+
+    # only the error line: argparse words the usage text by Python version
+    @pytest.mark.parametrize("argv, error", [
+        (["tangle"], "pinchcalc tangle: error: the following arguments are "
+                     "required: tangle_op"),
+        (["verify", "bogus"], "pinchcalc verify: error: argument mode: "
+                              "invalid choice: 'bogus'"),
+    ], ids=["tangle-op", "verify-mode"])
+    def test_usage_error_names_argument(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(error)
+
+
 class TestFractionFormat:
     def test_sign_moves_to_denominator(self):
         assert fmt_fraction(ReducedFraction(-2, 9)) == "2/-9"
@@ -349,6 +441,25 @@ class TestSubprocessHarness:
         assert doc["results"]["band_count"] == 3
 
 
+    @pytest.mark.parametrize("script, code, line", [
+        (["termination_scan.py", "--limit", "60"], 0,
+         "coprime pairs checked: 1042 (2 <= p <= q <= 60)"),
+        (["print_pinch_tables.py", "--max-n", "2"], 0,
+         "K_1 = (4,9) -> (2,5) -> (0,1)   [2 pinches]"),
+        # refused before the sweep allocates its 20 GB table
+        (["termination_scan.py", "--limit", "100000"], 2,
+         "termination_scan.py: error: limit 100000 needs a table over "
+         "1073741824 bytes"),
+    ], ids=["termination-scan", "pinch-tables", "termination-scan-refused"])
+    def test_script(self, script, code, line):
+        scripts = Path(__file__).parents[1] / "scripts"
+        proc = subprocess.run(
+            [sys.executable, str(scripts / script[0]), *script[1:]],
+            capture_output=True, text=True, env=self.env,
+        )
+        assert proc.returncode == code
+        assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
+
     @pytest.mark.parametrize("witnesses, call", [
         ("lambda p, q: (0, 0)", "sweep_termination(10)"),
         ("lambda p, q: (p / 2, q / 2)", "pinch_move(TorusKnotParams(4, 9))"),
@@ -382,6 +493,8 @@ class TestVerifyAll:
         assert set(verify_all(5, "corollaries")["results"]) == {
             "j_to_k", "k_independence",
         }
+        with pytest.raises(ValueError, match="'bogus'"):
+            verify_all(5, "bogus")
 
     def test_rejects_small_range(self):
         with pytest.raises(ValueError):

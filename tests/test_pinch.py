@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinchcalc import pinch
 from pinchcalc.pinch import (
+    SWEEP_MAX_BYTES,
     CannotPinchUnknotError,
     InvalidKnotError,
     TorusKnotParams,
@@ -181,3 +183,14 @@ class TestSweep:
 
     def test_trivial_limits(self):
         assert sweep_termination(1) == (0, [])
+
+    def test_refuses_table_over_bound(self, monkeypatch):
+        # two bytes per (p, q) cell: 23169 is the largest limit within 1 GiB
+        assert 2 * 23170**2 <= SWEEP_MAX_BYTES < 2 * 23171**2
+        # a 2 TB table, refused before anything is allocated
+        with pytest.raises(ValueError, match="limit 1000000 "):
+            sweep_termination(10**6)
+        monkeypatch.setattr(pinch, "SWEEP_MAX_BYTES", 2 * 11 * 11)
+        assert sweep_termination(10)[1] == []
+        with pytest.raises(ValueError, match="limit 11 "):
+            sweep_termination(11)
