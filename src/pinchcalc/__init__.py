@@ -38,12 +38,14 @@ from .pinch import (
     CannotPinchUnknotError,
     InvalidKnotError,
     IterationCapError,
+    PinchRun,
     PinchSequence,
     PinchStep,
     TorusKnotParams,
     iteration_cap,
     pinch_move,
     pinch_number,
+    pinch_runs,
     pinch_sequence,
     pinch_witnesses,
     sweep_termination,

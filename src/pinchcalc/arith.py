@@ -43,10 +43,12 @@ def mod_inverse_smallest(a: int, m: int) -> int:
     """The unique u with 0 <= u < m and a*u = 1 (mod m); 0 when m = 1."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    g, x, _ = ext_gcd(a, m)
-    if g != 1:
-        raise NotInvertibleError(f"{a} is not invertible mod {m} (gcd {g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(
+            f"{a} is not invertible mod {m} (gcd {gcd(a, m)})"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ document.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,7 +26,7 @@ from .families import (
     k_members,
     verify_j_to_k,
 )
-from .pinch import TorusKnotParams, pinch_move, pinch_sequence
+from .pinch import TorusKnotParams, pinch_move, pinch_number, pinch_sequence
 from .tangles import MatSL2, is_slice_family, mat_apply, surgery_result_knot
 
 SCHEMA_VERSION = "1"
@@ -136,7 +137,7 @@ def run_pinch_seq(p, q):
 
 def run_pinch_number(p, q):
     knot = TorusKnotParams(p, q)
-    n = pinch_sequence(knot).pinch_number
+    n = pinch_number(knot)
     return {"start": knot, "pinch_number": n}, [str(n)], "ok"
 
 
@@ -447,9 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process.  argparse reads the terminal width
+    each time it formats, so help still wraps to the COLUMNS of each call."""
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
     try:
-        inputs = vars(build_parser().parse_args(argv))
+        inputs = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     # what is left are the parsed arguments of the subcommand, in declaration order

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .families import FamilyId, family_knot
-from .pinch import PinchSequence, TorusKnotParams, pinch_sequence
+from .pinch import PinchSequence, TorusKnotParams, pinch_runs, pinch_sequence
 from .tangles import is_slice_family, surgery_result_knot
 
 
@@ -36,8 +36,11 @@ class SignSequence:
 
 
 def sign_sequence(k: TorusKnotParams) -> SignSequence:
-    """Signs along the pinch sequence of k, orientation sensitive."""
-    return chain_signs(pinch_sequence(k))
+    """Signs along the pinch sequence of k, orientation sensitive, read from its runs."""
+    signs: list[int] = []
+    for run in pinch_runs(k):
+        signs += [run.sign] * run.count
+    return SignSequence(knot=k, signs=tuple(signs))
 
 
 def chain_signs(seq: PinchSequence) -> SignSequence:

@@ -3,12 +3,16 @@
 A pinch move takes T(p, q) to T(|p - 2t|, |q - 2h|), where t and h are the
 smallest nonnegative solutions of t = -q^{-1} (mod p) and h = p^{-1} (mod q).
 Iterating always reaches the unknot, and the number of moves needed is the
-pinch number of the knot.
+pinch number of the knot.  The chain falls into a few runs of moves that
+each subtract one fixed pair from (p, q); pinch_runs finds them with one
+modular inverse per run.
 """
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import mod_inverse_smallest
 
@@ -97,6 +101,53 @@ class PinchSequence:
         return [self.start] + [s.target for s in self.steps]
 
 
+class PinchRun(NamedTuple):
+    """count consecutive pinch moves of one sign, the first from start.
+
+    (t, h) are the witnesses of the first move.  A positive run keeps them
+    on every move, since (p - 2t)h - (q - 2h)t = ph - qt; a negative run
+    keeps their complement (u, v) = (p - t, q - h) instead, so its move j
+    has witnesses (p_j - u, q_j - v).  Either way each move subtracts the
+    same stride from (p, q).
+
+    A NamedTuple rather than a frozen dataclass: defining one costs a
+    tenth as much at import, which every command line start pays.
+    """
+
+    start: TorusKnotParams
+    t: int
+    h: int
+    count: int
+    sign: int
+
+    @property
+    def stride(self) -> tuple[int, int]:
+        """What each move subtracts: (2t, 2h) if positive, (2u, 2v) if negative."""
+        if self.sign > 0:
+            return 2 * self.t, 2 * self.h
+        return 2 * (self.start.p - self.t), 2 * (self.start.q - self.h)
+
+    @property
+    def end(self) -> TorusKnotParams:
+        """The knot the run's last move reaches."""
+        dp, dq = self.stride
+        return TorusKnotParams(self.start.p - self.count * dp,
+                               self.start.q - self.count * dq)
+
+    def steps(self) -> Iterator[PinchStep]:
+        """The run's moves in order, built without a modular inverse."""
+        dp, dq = self.stride
+        # witnesses stay put on a positive run and fall by the stride on a
+        # negative one, where p_j - u and q_j - v shrink with p_j and q_j
+        dt, dh = (0, 0) if self.sign > 0 else (dp, dq)
+        source, t, h = self.start, self.t, self.h
+        for _ in range(self.count):
+            raw_p, raw_q = source.p - 2 * t, source.q - 2 * h
+            target = TorusKnotParams(abs(raw_p), abs(raw_q))
+            yield PinchStep(source, target, t, h, raw_p, raw_q, self.sign)
+            source, t, h = target, t - dt, h - dh
+
+
 def pinch_witnesses(p: int, q: int) -> tuple[int, int]:
     """The smallest nonnegative t = -q^{-1} (mod p) and h = p^{-1} (mod q).
 
@@ -139,27 +190,54 @@ def iteration_cap(k: TorusKnotParams) -> int:
     return min(k.p, k.q) // 2 + 1
 
 
-def pinch_sequence(k: TorusKnotParams) -> PinchSequence:
-    """The unique chain of pinch moves from k to an unknot.
+def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
+    """The pinch sequence of k as maximal runs, one modular inverse each.
 
-    Empty when k is already unknotted.  Exceeding the iteration cap raises
-    IterationCapError instead of looping forever.
+    Empty when k is already unknotted.  Raises RuntimeError when a run's
+    witnesses break 1 <= t < p, 1 <= h < q, ph - qt = 1, and
+    IterationCapError when the moves pass the iteration cap.
     """
-    steps: list[PinchStep] = []
+    runs: list[PinchRun] = []
     cap = iteration_cap(k)
+    total = 0
     cur = k
     while not cur.is_unknot():
-        if len(steps) >= cap:
+        p, q = cur.p, cur.q
+        t, h = pinch_witnesses(p, q)
+        if not (0 < t < p and 0 < h < q and p * h - q * t == 1):
+            raise RuntimeError(f"T{cur}: ({t}, {h}) are not its pinch witnesses")
+        if p > 2 * t:
+            # (p_j, q_j) = (p - 2jt, q - 2jh) moves positively while p_j > 2t
+            sign, count = 1, (p - 1) // (2 * t)
+        else:
+            # (p_j, q_j) = (p - 2ju, q - 2jv) moves negatively while p_j >= 2u
+            sign, count = -1, p // (2 * (p - t))
+        if count < 1:
+            raise RuntimeError(f"T{cur}: witnesses ({t}, {h}) start an empty run")
+        total += count
+        if total > cap:
             raise IterationCapError(f"T{k} still nontrivial after {cap} pinches")
-        step = pinch_move(cur)
-        steps.append(step)
-        cur = step.target
+        run = PinchRun(cur, t, h, count, sign)
+        runs.append(run)
+        cur = run.end
+    return tuple(runs)
+
+
+def pinch_sequence(k: TorusKnotParams) -> PinchSequence:
+    """The unique chain of pinch moves from k to an unknot, expanded from its runs.
+
+    Empty when k is already unknotted.  Holds every step in memory; callers
+    that need only counts or signs read pinch_runs instead.
+    """
+    steps: list[PinchStep] = []
+    for run in pinch_runs(k):
+        steps.extend(run.steps())
     return PinchSequence(start=k, steps=tuple(steps))
 
 
 def pinch_number(k: TorusKnotParams) -> int:
     """The number of pinch moves from k to the unknot; 0 for unknots."""
-    return pinch_sequence(k).pinch_number
+    return sum(run.count for run in pinch_runs(k))
 
 
 # the largest lengths table sweep_termination allocates, in bytes (limit 23169)

@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchcalc.arith import (
@@ -59,7 +59,7 @@ class TestModInverse:
         assert mod_inverse_smallest(5, 1) == 0
 
     def test_not_invertible(self):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError, match=r"^2 is not invertible mod 4 \(gcd 2\)$"):
             mod_inverse_smallest(2, 4)
 
     def test_bad_modulus(self):
@@ -75,6 +75,19 @@ class TestModInverse:
         assert (a * u) % m == 1 % m
         # u is minimal: scan finds no smaller solution
         assert all((a * v) % m != 1 % m for v in range(u))
+
+    @given(st.integers(-2**256, 2**256), st.integers(1, 2**256))
+    @example(-7, 1)
+    @example(0, 1)
+    @example(0, 2**255)
+    def test_matches_ext_gcd_oracle(self, a, m):
+        g, x, _ = ext_gcd(a, m)
+        if g == 1:
+            assert mod_inverse_smallest(a, m) == x % m
+        else:
+            message = rf"^{a} is not invertible mod {m} \(gcd {g}\)$"
+            with pytest.raises(NotInvertibleError, match=message):
+                mod_inverse_smallest(a, m)
 
     def test_negative_argument(self):
         u = mod_inverse_smallest(-9, 25)

@@ -341,6 +341,16 @@ class TestHelpAndUsage:
         assert code == 0
         assert out.startswith(f"usage: pinchcalc {command} ")
 
+    def test_help_wraps_to_the_width_of_each_call(self, capsys, monkeypatch):
+        # one parser serves every call; help is still formatted per call
+        outs = []
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run_cli(capsys, "--help")
+            assert (code, out) == (0, cli.build_parser().format_help())
+            outs.append(out)
+        assert outs[0] != outs[1]
+
     # only the error line: argparse words the usage text by Python version
     @pytest.mark.parametrize("argv, error", [
         (["tangle"], "pinchcalc tangle: error: the following arguments are "
@@ -413,16 +423,25 @@ class TestSubprocessHarness:
     # child interpreters import the same pinchcalc as this test run
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
-    def _run(self, *argv):
+    def _run(self, *argv, timeout=None):
         return subprocess.run(
             [sys.executable, "-m", "pinchcalc", *argv],
-            capture_output=True, text=True, env=self.env,
+            capture_output=True, text=True, env=self.env, timeout=timeout,
         )
 
     def test_success(self):
         proc = self._run("pinch-number", "4", "9")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"
+
+    def test_pinch_number_is_bounded_work(self):
+        # T(10^18, 10^18 + 1) is one run of 5 * 10^17 moves
+        p = 10**18
+        proc = self._run("pinch-number", str(p), str(p + 1), "--json", timeout=10)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["results"] == {
+            "start": [p, p + 1], "pinch_number": 5 * 10**17,
+        }
 
     def test_domain_error(self):
         proc = self._run("pinch-move", "2", "4")
@@ -463,7 +482,8 @@ class TestSubprocessHarness:
     @pytest.mark.parametrize("witnesses, call", [
         ("lambda p, q: (0, 0)", "sweep_termination(10)"),
         ("lambda p, q: (p / 2, q / 2)", "pinch_move(TorusKnotParams(4, 9))"),
-    ], ids=["sweep-memo", "pinch-move-sign"])
+        ("lambda p, q: (0, 0)", "pinch_runs(TorusKnotParams(4, 9))"),
+    ], ids=["sweep-memo", "pinch-move-sign", "pinch-runs-witnesses"])
     def test_broken_invariant_raises_under_O(self, witnesses, call):
         # python -O strips assert statements; the invariants must still hold
         script = (

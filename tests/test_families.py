@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from pinchcalc.families import (
     verify_j_to_k,
     verify_k_independence,
 )
-from pinchcalc.pinch import TorusKnotParams, pinch_move, pinch_sequence
+from pinchcalc.pinch import TorusKnotParams, pinch_move, pinch_runs, pinch_sequence
 
 
 class TestFamilyId:
@@ -108,6 +110,14 @@ class TestJToK:
             chain.append((cur.p, cur.q))
         assert chain == [(18, 73), (16, 65), (14, 57), (12, 49)]
         assert cur.same_knot(family_knot(FamilyId("K", 3)))
+
+    def test_holds_at_large_n(self):
+        # four pinches on 10^12-scale members, move by move and from the run
+        n = 10**12
+        assert verify_j_to_k(n)
+        (run,) = pinch_runs(family_knot(FamilyId("J", n)))
+        *_, fourth = islice(run.steps(), 4)
+        assert fourth.target == family_knot(FamilyId("K", n - 2))
 
     def test_requires_n_at_least_2(self):
         with pytest.raises(ValueError):

@@ -1,19 +1,23 @@
 import random
+from itertools import chain, islice
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchcalc import pinch
+from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import (
     SWEEP_MAX_BYTES,
     CannotPinchUnknotError,
     InvalidKnotError,
+    PinchRun,
     TorusKnotParams,
     iteration_cap,
     pinch_move,
     pinch_number,
+    pinch_runs,
     pinch_sequence,
     pinch_witnesses,
     sweep_termination,
@@ -22,6 +26,31 @@ from pinchcalc.pinch import (
 coprime_pairs = st.tuples(st.integers(2, 2000), st.integers(2, 2000)).filter(
     lambda pq: gcd(*pq) == 1
 )
+
+
+big_pairs = st.tuples(st.integers(0, 2**256), st.integers(0, 2**256)).filter(
+    lambda pq: gcd(*pq) == 1
+)
+# moves of the pinch_move oracle per example; longer chains are checked on
+# their first ORACLE_MOVES moves and on the first move of every run
+ORACLE_MOVES = 1000
+
+
+def move_chain(k, limit):
+    """Step oracle: up to limit moves from k, one pinch_move each."""
+    steps = []
+    while not k.is_unknot() and len(steps) < limit:
+        steps.append(pinch_move(k))
+        k = steps[-1].target
+    return steps
+
+
+def assert_swap_symmetric(k):
+    """Swapping the coordinates keeps every run and negates its sign."""
+    runs, swapped = pinch_runs(k), pinch_runs(k.swap())
+    assert [r.start.swap() for r in runs] == [r.start for r in swapped]
+    assert [r.count for r in runs] == [r.count for r in swapped]
+    assert [-r.sign for r in runs] == [r.sign for r in swapped]
 
 
 def scan_witnesses(p, q):
@@ -158,6 +187,60 @@ class TestPinchSequence:
     def test_within_cap(self, pq):
         k = TorusKnotParams(*pq)
         assert pinch_sequence(k).pinch_number <= iteration_cap(k)
+
+
+class TestPinchRuns:
+    def test_examples(self):
+        k = TorusKnotParams(4, 9)
+        assert pinch_runs(k) == (PinchRun(k, 3, 7, 2, -1),)
+        assert pinch_runs(k.swap()) == (PinchRun(k.swap(), 2, 1, 2, 1),)
+        assert pinch_runs(TorusKnotParams(1, 0)) == ()
+        # (16,21) -> (10,13) -> (4,5) keeps (3, 4); (4,5) -> (2,3) -> (0,1)
+        # keeps the complement (1, 1)
+        a, b = TorusKnotParams(16, 21), TorusKnotParams(4, 5)
+        assert pinch_runs(a) == (PinchRun(a, 3, 4, 2, 1), PinchRun(b, 3, 4, 2, -1))
+        assert [(s.t, s.h) for s in pinch_sequence(a).steps] == [
+            (3, 4), (3, 4), (3, 4), (1, 2),
+        ]
+
+    @given(big_pairs)
+    @example((2**256 - 1, 2**256))
+    def test_runs_expand_to_the_step_chain(self, pq):
+        k = TorusKnotParams(*pq)
+        runs = pinch_runs(k)
+        oracle = move_chain(k, ORACLE_MOVES)
+        expanded = chain.from_iterable(run.steps() for run in runs)
+        assert list(islice(expanded, ORACLE_MOVES)) == oracle
+        assert all(next(run.steps()) == pinch_move(run.start) for run in runs)
+        assert [run.start for run in runs[1:]] == [run.end for run in runs[:-1]]
+        n = pinch_number(k)
+        assert n == sum(run.count for run in runs)
+        assert min(n, ORACLE_MOVES) == len(oracle)
+        if n <= ORACLE_MOVES:
+            assert pinch_sequence(k).steps == tuple(oracle)
+        assert len(runs) <= iteration_cap(k)
+
+    @given(big_pairs)
+    def test_swap_symmetry(self, pq):
+        assert_swap_symmetric(TorusKnotParams(*pq))
+
+    def test_swap_symmetry_bulk(self):
+        rng = random.Random(64)
+        pairs = 0
+        while pairs < 3000:
+            p, q = rng.getrandbits(64), rng.getrandbits(64)
+            if gcd(p, q) == 1:
+                assert_swap_symmetric(TorusKnotParams(p, q))
+                pairs += 1
+
+    @pytest.mark.parametrize("family", ["K", "J"])
+    def test_family_member_is_one_run(self, family):
+        n = 10**12
+        k = family_knot(FamilyId(family, n))
+        (run,) = pinch_runs(k)
+        assert (run.start, run.count, run.sign) == (k, 2 * n, -1)
+        assert run.end == TorusKnotParams(0, 1)
+        assert pinch_number(k) == 2 * n
 
 
 class TestSweep:
