@@ -22,7 +22,6 @@ from .criteria import (
     CriterionNotApplicableError,
     SignSequence,
     TheoremViolationError,
-    certify_chain,
     counterexample_report,
     jvc_criterion,
     sign_sequence,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .families import FamilyId, family_knot
-from .pinch import PinchSequence, TorusKnotParams, pinch_runs, pinch_sequence
+from .pinch import TorusKnotParams, pinch_runs
 from .tangles import is_slice_family, surgery_result_knot
 
 
@@ -43,11 +43,6 @@ def sign_sequence(k: TorusKnotParams) -> SignSequence:
     return SignSequence(knot=k, signs=tuple(signs))
 
 
-def chain_signs(seq: PinchSequence) -> SignSequence:
-    """The signs of the moves of an already built pinch sequence."""
-    return SignSequence(knot=seq.start, signs=tuple(step.sign for step in seq.steps))
-
-
 def jvc_criterion(k: TorusKnotParams) -> SignSequence:
     """The combinatorial Jabuka-Van Cott test for p even, q odd, both > 1.
 
@@ -77,31 +72,25 @@ class CounterexampleReport:
 
 
 def counterexample_report(fid: FamilyId) -> CounterexampleReport:
-    """Build the pinch sequence of K_n (n >= 1) or J_n (n >= 2) and certify it."""
-    if fid.is_trivial:
-        raise ValueError("J_1 is unknotted; no counterexample report")
-    return certify_chain(fid, pinch_sequence(family_knot(fid)))
-
-
-def certify_chain(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
-    """The certificate for a knotted member from the pinch sequence seq of its knot.
+    """The certificate of K_n (n >= 1) or J_n (n >= 2), read from its pinch runs.
 
     Pinch number 2n, 2n-1 band surgeries to a recognized slice two-bridge
-    knot, and a failing lower-bound criterion.  Raises ValueError for a seq
-    starting elsewhere, TheoremViolationError if a computed piece disagrees
-    with what the construction guarantees.
+    knot, and a failing lower-bound criterion.  Raises ValueError for J_1,
+    TheoremViolationError if a computed piece disagrees with what the
+    construction guarantees.
     """
-    if seq.start != family_knot(fid):
-        raise ValueError(f"{fid} is T{family_knot(fid)}, not T{seq.start}")
+    if fid.is_trivial:
+        raise ValueError("J_1 is unknotted; no counterexample report")
     n = fid.n
+    knot = family_knot(fid)
     # family knots are T(even, odd) with both > 1, so the criterion applies
-    signs = chain_signs(seq)
+    runs = pinch_runs(knot)
+    pinch = sum(run.count for run in runs)
+    negatives = sum(run.count for run in runs if run.sign < 0)
     bridge = surgery_result_knot(fid)
     cf = cf_even_expand(bridge.normalized)
-    if seq.pinch_number != 2 * n:
-        raise TheoremViolationError(
-            f"{fid}: pinch number {seq.pinch_number}, expected {2 * n}"
-        )
+    if pinch != 2 * n:
+        raise TheoremViolationError(f"{fid}: pinch number {pinch}, expected {2 * n}")
     if not is_slice_family(cf):
         raise TheoremViolationError(
             f"{fid}: surgery fraction {bridge.normalized} expands to {cf}, "
@@ -109,11 +98,12 @@ def certify_chain(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
         )
     return CounterexampleReport(
         fid=fid,
-        knot=seq.start,
-        pinch_number=seq.pinch_number,
+        knot=knot,
+        pinch_number=pinch,
         band_count=2 * n - 1,
         slice_fraction=bridge.normalized,
         slice_cf=cf,
-        jvc_negative_count=signs.negative_count,
-        jvc_equals_pinch_minus_one=signs.equals_pinch_minus_one,
+        jvc_negative_count=negatives,
+        # the verdict of SignSequence.equals_pinch_minus_one
+        jvc_equals_pinch_minus_one=negatives == 1,
     )

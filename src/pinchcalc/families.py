@@ -7,7 +7,7 @@ J_n to K_{n-2}.
 
 from dataclasses import dataclass
 
-from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_sequence
+from .pinch import TorusKnotParams, pinch_move, pinch_runs
 
 
 @dataclass(frozen=True)
@@ -73,30 +73,27 @@ def verify_j_to_k(n: int) -> bool:
     return cur.same_knot(expected)
 
 
-def k_members(max_n: int) -> dict[TorusKnotParams, int]:
-    """Canonical K_1..K_max_n knots, each mapped to its index n."""
-    return {
-        family_knot(FamilyId("K", n)).canonical(): n for n in range(1, max_n + 1)
-    }
-
-
-def k_collisions(m: int, seq: PinchSequence, members: dict) -> list[tuple[int, int]]:
-    """(m, n) for each step of K_m's sequence seq landing on another K_n."""
-    hits = (members.get(step.target.canonical()) for step in seq.steps)
-    return [(m, hit) for hit in hits if hit is not None and hit != m]
-
-
 def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
     """Scan the pinch sequences of K_1..K_max_n for visits to other members.
 
     Returns the offending (m, n) pairs, empty when no sequence starting at
-    some K_m passes through a different K_n.
+    some K_m passes through a different K_n.  The knots a run visits are
+    read off its start and stride, without building its moves.
     """
     if max_n < 1:
         raise ValueError(f"needs max_n >= 1, got {max_n}")
-    members = k_members(max_n)
+    members = {}
+    for n in range(1, max_n + 1):
+        k = family_knot(FamilyId("K", n)).canonical()
+        members[k.p, k.q] = n
     violations = []
     for m in range(1, max_n + 1):
-        seq = pinch_sequence(family_knot(FamilyId("K", m)))
-        violations += k_collisions(m, seq, members)
+        for run in pinch_runs(family_knot(FamilyId("K", m))):
+            p, q = run.start.p, run.start.q
+            dp, dq = run.stride
+            for _ in range(run.count):
+                p, q = p - dp, q - dq
+                hit = members.get((p, q) if p <= q else (q, p))
+                if hit is not None and hit != m:
+                    violations.append((m, hit))
     return violations

@@ -213,6 +213,16 @@ GOLDEN = [
         id="verify-tables-text",
     ),
     pytest.param(
+        ["verify", "all", "--max-n", "5"], no_patch, 0,
+        "K: 5/5 rows match, J: 4/4 rows match\n"
+        "pinch numbers and closed form: 9 sequences checked, 0 violations (n <= 5)\n"
+        "four pinches J_n -> K_(n-2): 4 checked, 0 violations\n"
+        "K sequences avoid other K members: m, n <= 5, 0 collisions\n"
+        "counterexample reports: 9 certified, 0 violations\n"
+        "status: ok\n",
+        "", id="verify-all-text",
+    ),
+    pytest.param(
         ["verify", "corollaries", "--max-n", "5"], no_patch, 0,
         "four pinches J_n -> K_(n-2): 4 checked, 0 violations\n"
         "K sequences avoid other K members: m, n <= 5, 0 collisions\n"
@@ -221,6 +231,9 @@ GOLDEN = [
     ),
     pytest.param(
         ["jvc", "8", "9", "--quiet"], no_patch, 0, "", "", id="quiet",
+    ),
+    pytest.param(
+        ["pinch-seq", "8", "25", "--quiet"], no_patch, 0, "", "", id="pinch-seq-quiet",
     ),
     pytest.param(
         ["pinch-move", "4", "6", "--json"], no_patch, 2,
@@ -307,11 +320,6 @@ class TestTextOutput:
         assert code == 0
         assert "K: 5/5 rows match, J: 4/4 rows match" in out
 
-    def test_verify_all_small(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "5")
-        assert code == 0
-        assert "status: ok" in out
-
     def test_tangle_cf(self, capsys):
         code, out, _ = run_cli(capsys, "tangle", "cf", "2", "-9")
         assert code == 0 and out.strip() == "[-4,-2]"
@@ -328,10 +336,6 @@ class TestTextOutput:
     def test_family_trivial_flag(self, capsys):
         code, out, _ = run_cli(capsys, "family", "J", "1")
         assert code == 0 and "unknot" in out
-
-    def test_quiet_suppresses_stdout(self, capsys):
-        code, out, _ = run_cli(capsys, "pinch-seq", "8", "25", "--quiet")
-        assert code == 0 and out == ""
 
 
 class TestHelpAndUsage:
@@ -442,6 +446,15 @@ class TestSubprocessHarness:
         assert json.loads(proc.stdout)["results"] == {
             "start": [p, p + 1], "pinch_number": 5 * 10**17,
         }
+
+    def test_report_is_bounded_work(self):
+        # K_n is one run of 2n moves; the certificate reads its count and sign
+        n = 10**12
+        proc = self._run("report", "K", str(n), "--json", timeout=10)
+        assert proc.returncode == 0
+        results = json.loads(proc.stdout)["results"]
+        assert results["pinch_number"] == results["jvc_negative_count"] == 2 * n
+        assert results["band_count"] == 2 * n - 1
 
     def test_domain_error(self):
         proc = self._run("pinch-move", "2", "4")

@@ -3,13 +3,12 @@ import pytest
 from pinchcalc.arith import ReducedFraction
 from pinchcalc.criteria import (
     CriterionNotApplicableError,
-    certify_chain,
     counterexample_report,
     jvc_criterion,
     sign_sequence,
 )
-from pinchcalc.families import FamilyId, family_knot
-from pinchcalc.pinch import TorusKnotParams, pinch_sequence
+from pinchcalc.families import FamilyId
+from pinchcalc.pinch import TorusKnotParams
 
 
 class TestSignSequence:
@@ -84,13 +83,6 @@ class TestCounterexampleReport:
         assert r.band_count == 3
         assert r.slice_fraction == ReducedFraction(-4, 9)
         assert r.slice_cf.coeffs == (-2, -4)
-
-    def test_certify_chain_needs_the_members_own_chain(self):
-        k3_chain = pinch_sequence(family_knot(FamilyId("K", 3)))
-        assert certify_chain(FamilyId("K", 3), k3_chain) == counterexample_report(
-            FamilyId("K", 3))
-        with pytest.raises(ValueError):
-            certify_chain(FamilyId("J", 3), k3_chain)
 
     def test_trivial_member_rejected(self):
         with pytest.raises(ValueError):

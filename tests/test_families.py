@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pinchcalc import families
 from pinchcalc.families import (
     FamilyId,
     closed_form_step,
@@ -129,6 +130,18 @@ class TestKIndependence:
         assert verify_k_independence(1) == []
         assert verify_k_independence(5) == []
         assert verify_k_independence(30) == []
+
+    def test_finds_a_collision(self, monkeypatch):
+        # K_3 moved to J_3 = T(12, 25), whose chain passes through K_1 = T(4, 9)
+        real = families.family_knot
+
+        def fake(fid):
+            if fid == FamilyId("K", 3):
+                return real(FamilyId("J", 3))
+            return real(fid)
+
+        monkeypatch.setattr(families, "family_knot", fake)
+        assert verify_k_independence(5) == [(3, 1)]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
