@@ -20,7 +20,7 @@ from .families import (
     verify_j_to_k,
     verify_k_independence,
 )
-from .pinch import TorusKnotParams, pinch_move, pinch_number, pinch_sequence
+from .pinch import TorusKnotParams, pinch_move, pinch_number, pinch_runs
 from .tangles import MatSL2, is_slice_family, mat_apply, surgery_result_knot
 
 SCHEMA_VERSION = "1"
@@ -98,7 +98,7 @@ def step_payload(step) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: parsed arguments in, (results, text_lines, status) out
+# subcommand handlers: parsed arguments in, (results, text lines, status) out
 
 
 def run_pinch_move(p, q):
@@ -114,19 +114,22 @@ def run_pinch_move(p, q):
 
 
 def run_pinch_seq(p, q):
-    seq = pinch_sequence(TorusKnotParams(p, q))
-    results = {
-        "start": seq.start,
-        "steps": [step_payload(s) for s in seq.steps],
-        "pinch_number": seq.pinch_number,
-    }
-    text = [
-        f"{s.source!s:>10} -> {s.target!s:<10} "
-        f"t={s.t:<6} h={s.h:<6} sign={fmt_sign(s.sign)}"
-        for s in seq.steps
+    start = TorusKnotParams(p, q)
+    # the chain is expanded and checked here; the text is only formatted
+    steps = [
+        {"from": [a, b], "to": [c, d], "t": t, "h": h, "sign": fmt_sign(run.sign)}
+        for run in pinch_runs(start) for a, b, t, h, c, d in run.rows()
     ]
-    text.append(f"pinch number: {seq.pinch_number}")
-    return results, text, "ok"
+    results = {"start": start, "steps": steps, "pinch_number": len(steps)}
+
+    def text():
+        for s in steps:
+            source, target = "({},{})".format(*s["from"]), "({},{})".format(*s["to"])
+            yield (f"{source:>10} -> {target:<10} "
+                   f"t={s['t']:<6} h={s['h']:<6} sign={s['sign']}")
+        yield f"pinch number: {len(steps)}"
+
+    return results, text(), "ok"
 
 
 def run_pinch_number(p, q):
@@ -267,6 +270,12 @@ def _members(max_n: int):
             yield FamilyId(family, n)
 
 
+def _chain_pairs(knot: TorusKnotParams) -> list[tuple[int, int]]:
+    """Every knot the pinch chain of knot visits as (p, q), start first."""
+    return [(knot.p, knot.q)] + [
+        (c, d) for run in pinch_runs(knot) for *_, c, d in run.rows()]
+
+
 def check_reference_tables() -> dict:
     """Diff freshly computed pinch sequences against the frozen rows."""
     out = {}
@@ -274,8 +283,7 @@ def check_reference_tables() -> dict:
         matched = 0
         mismatches = []
         for n, expected in sorted(rows.items()):
-            start = TorusKnotParams(*expected[0])
-            chain = [(k.p, k.q) for k in pinch_sequence(start).knots()]
+            chain = _chain_pairs(TorusKnotParams(*expected[0]))
             if chain == expected:
                 matched += 1
             else:
@@ -294,17 +302,16 @@ def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
     violations = []
     for fid in _members(max_n):
         n = fid.n
-        seq = pinch_sequence(family_knot(fid))
-        if seq.pinch_number != 2 * n:
-            violations.append({"member": str(fid), "pinch_number": seq.pinch_number,
+        knots = _chain_pairs(family_knot(fid))
+        if len(knots) != 2 * n + 1:
+            violations.append({"member": str(fid), "pinch_number": len(knots) - 1,
                                "expected": 2 * n})
             continue
-        knots = seq.knots()
-        for k in range(2 * n + 1):
-            formula = closed_form_step(n, fid.eps, k).canonical()
-            if formula != knots[k].canonical():
+        for k, pair in enumerate(knots):
+            formula = closed_form_step(n, fid.eps, k)
+            if sorted((formula.p, formula.q)) != sorted(pair):
                 violations.append({"member": str(fid), "k": k,
-                                   "closed_form": formula, "engine": knots[k]})
+                                   "closed_form": formula.canonical(), "engine": pair})
         checked += 1
     return {"checked": checked, "violations": violations}
 

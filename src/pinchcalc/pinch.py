@@ -134,18 +134,28 @@ class PinchRun(NamedTuple):
         return TorusKnotParams(self.start.p - self.count * dp,
                                self.start.q - self.count * dq)
 
-    def steps(self) -> Iterator[PinchStep]:
-        """The run's moves in order, built without a modular inverse."""
+    def rows(self) -> Iterator[tuple[int, int, int, int, int, int]]:
+        """The run's moves as plain ints (p, q, t, h, p', q'): source, witnesses,
+        target.  Raises RuntimeError when a target is not a coprime pair."""
         dp, dq = self.stride
         # witnesses stay put on a positive run and fall by the stride on a
         # negative one, where p_j - u and q_j - v shrink with p_j and q_j
         dt, dh = (0, 0) if self.sign > 0 else (dp, dq)
-        source, t, h = self.start, self.t, self.h
+        p, q, t, h = self.start.p, self.start.q, self.t, self.h
         for _ in range(self.count):
-            raw_p, raw_q = source.p - 2 * t, source.q - 2 * h
-            target = TorusKnotParams(abs(raw_p), abs(raw_q))
-            yield PinchStep(source, target, t, h, raw_p, raw_q, self.sign)
-            source, t, h = target, t - dt, h - dh
+            p2, q2 = abs(p - 2 * t), abs(q - 2 * h)
+            if gcd(p2, q2) != 1:
+                raise RuntimeError(f"T({p},{q}) moves to non-coprime ({p2}, {q2})")
+            yield p, q, t, h, p2, q2
+            p, q, t, h = p2, q2, t - dt, h - dh
+
+    def steps(self) -> Iterator[PinchStep]:
+        """The run's moves in order as PinchStep objects, one per row."""
+        source = self.start
+        for p, q, t, h, p2, q2 in self.rows():
+            target = TorusKnotParams(p2, q2)
+            yield PinchStep(source, target, t, h, p - 2 * t, q - 2 * h, self.sign)
+            source = target
 
 
 def pinch_witnesses(p: int, q: int) -> tuple[int, int]:
@@ -226,8 +236,9 @@ def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
 def pinch_sequence(k: TorusKnotParams) -> PinchSequence:
     """The unique chain of pinch moves from k to an unknot, expanded from its runs.
 
-    Empty when k is already unknotted.  Holds every step in memory; callers
-    that need only counts or signs read pinch_runs instead.
+    Empty when k is already unknotted.  Holds every step in memory as a
+    PinchStep; callers that need only counts or signs read pinch_runs, and
+    those that need each move as plain ints read PinchRun.rows.
     """
     steps: list[PinchStep] = []
     for run in pinch_runs(k):

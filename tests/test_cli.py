@@ -27,6 +27,11 @@ GOLDEN_PINCH_SEQ_4_9 = doc(
     '{"from":[2,5],"to":[0,1],"t":1,"h":3,"sign":"-"}],'
     '"pinch_number":2',
 )
+# scripts/cli_digests.py: every pinch-seq output of its fixed set
+CLI_DIGEST_PINCH_SEQ = (
+    "ebf9951823aae54643fa13e6c08f593f49f26db08370a941c8fa3b4af2a5ea89  "
+    "pinch-seq  (578 calls)"
+)
 TABLES = (
     '"tables":{"K":{"matched":5,"total":5,"mismatches":[]},'
     '"J":{"matched":4,"total":4,"mismatches":[]}}'
@@ -162,6 +167,26 @@ GOLDEN = [
         "     (2,7) -> (0,1)      t=1      h=4      sign=-\n"
         "pinch number: 4\n",
         "", id="pinch-seq-text",
+    ),
+    pytest.param(
+        ["pinch-seq", "16", "21", "--json"], no_patch, 0,
+        doc("pinch-seq", '"p":16,"q":21',
+            '"start":[16,21],"steps":['
+            '{"from":[16,21],"to":[10,13],"t":3,"h":4,"sign":"+"},'
+            '{"from":[10,13],"to":[4,5],"t":3,"h":4,"sign":"+"},'
+            '{"from":[4,5],"to":[2,3],"t":3,"h":4,"sign":"-"},'
+            '{"from":[2,3],"to":[0,1],"t":1,"h":2,"sign":"-"}],'
+            '"pinch_number":4'),
+        "", id="pinch-seq-two-runs",
+    ),
+    pytest.param(
+        ["pinch-seq", "16", "21"], no_patch, 0,
+        "   (16,21) -> (10,13)    t=3      h=4      sign=+\n"
+        "   (10,13) -> (4,5)      t=3      h=4      sign=+\n"
+        "     (4,5) -> (2,3)      t=3      h=4      sign=-\n"
+        "     (2,3) -> (0,1)      t=1      h=2      sign=-\n"
+        "pinch number: 4\n",
+        "", id="pinch-seq-two-runs-text",
     ),
     pytest.param(
         ["pinch-number", "20", "81"], no_patch, 0, "10\n", "", id="pinch-number-text",
@@ -413,6 +438,8 @@ class TestExitCodes:
         assert code == 3
         assert out == doc("pinch-seq", "", f'"error":"{message}"', "error")
         assert err == f"pinchcalc: {message}\n"
+        # the text is formatted lazily, but the chain is checked before it
+        assert run_cli(capsys, "pinch-seq", "4", "9") == (3, "", err)
         assert run_cli(capsys, "pinch-seq", "4", "9", "--quiet") == (3, "", "")
 
     def test_json_error_document(self, capsys):
@@ -478,11 +505,13 @@ class TestSubprocessHarness:
          "coprime pairs checked: 1042 (2 <= p <= q <= 60)"),
         (["print_pinch_tables.py", "--max-n", "2"], 0,
          "K_1 = (4,9) -> (2,5) -> (0,1)   [2 pinches]"),
+        (["cli_digests.py"], 0, CLI_DIGEST_PINCH_SEQ),
         # refused before the sweep allocates its 20 GB table
         (["termination_scan.py", "--limit", "100000"], 2,
          "termination_scan.py: error: limit 100000 needs a table over "
          "1073741824 bytes"),
-    ], ids=["termination-scan", "pinch-tables", "termination-scan-refused"])
+    ], ids=["termination-scan", "pinch-tables", "cli-digests",
+            "termination-scan-refused"])
     def test_script(self, script, code, line):
         scripts = Path(__file__).parents[1] / "scripts"
         proc = subprocess.run(
@@ -492,17 +521,22 @@ class TestSubprocessHarness:
         assert proc.returncode == code
         assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
 
-    @pytest.mark.parametrize("witnesses, call", [
-        ("lambda p, q: (0, 0)", "sweep_termination(10)"),
-        ("lambda p, q: (p / 2, q / 2)", "pinch_move(TorusKnotParams(4, 9))"),
-        ("lambda p, q: (0, 0)", "pinch_runs(TorusKnotParams(4, 9))"),
-    ], ids=["sweep-memo", "pinch-move-sign", "pinch-runs-witnesses"])
-    def test_broken_invariant_raises_under_O(self, witnesses, call):
+    @pytest.mark.parametrize("patch, call", [
+        ("pinch.pinch_witnesses = lambda p, q: (0, 0)", "sweep_termination(10)"),
+        ("pinch.pinch_witnesses = lambda p, q: (p / 2, q / 2)",
+         "pinch_move(TorusKnotParams(4, 9))"),
+        ("pinch.pinch_witnesses = lambda p, q: (0, 0)",
+         "pinch_runs(TorusKnotParams(4, 9))"),
+        # not the witnesses of T(4, 9): its one move lands on T(0, 3)
+        ("", "list(PinchRun(TorusKnotParams(4, 9), 2, 3, 1, 1).rows())"),
+    ], ids=["sweep-memo", "pinch-move-sign", "pinch-runs-witnesses",
+            "run-rows-coprime"])
+    def test_broken_invariant_raises_under_O(self, patch, call):
         # python -O strips assert statements; the invariants must still hold
         script = (
             "from pinchcalc import pinch\n"
             "from pinchcalc.pinch import *\n"
-            f"pinch.pinch_witnesses = {witnesses}\n"
+            f"{patch}\n"
             f"{call}\n"
         )
         proc = subprocess.run(

@@ -1,4 +1,7 @@
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from itertools import chain, islice
 from math import gcd
 
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchcalc import pinch
+from pinchcalc.cli import cli_main, step_payload, to_json
 from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import (
     SWEEP_MAX_BYTES,
@@ -219,6 +223,26 @@ class TestPinchRuns:
         if n <= ORACLE_MOVES:
             assert pinch_sequence(k).steps == tuple(oracle)
         assert len(runs) <= iteration_cap(k)
+
+    @given(big_pairs)
+    @example((16, 21))
+    @example((2**256 - 1, 2**256))
+    def test_rows_and_pinch_seq_match_the_step_chain(self, pq):
+        k = TorusKnotParams(*pq)
+        oracle = move_chain(k, ORACLE_MOVES)
+        rows = chain.from_iterable(
+            ((*row, run.sign) for row in run.rows()) for run in pinch_runs(k))
+        assert list(islice(rows, ORACLE_MOVES)) == [
+            (s.source.p, s.source.q, s.t, s.h, s.target.p, s.target.q, s.sign)
+            for s in oracle
+        ]
+        if pinch_number(k) <= ORACLE_MOVES:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli_main(["pinch-seq", *map(str, pq), "--json"]) == 0
+            assert json.loads(out.getvalue())["results"]["steps"] == [
+                json.loads(to_json(step_payload(s))) for s in oracle
+            ]
 
     @given(big_pairs)
     def test_swap_symmetry(self, pq):
