@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Exhaustively check pinch sequence termination against the iteration cap.
 
-Sweeps every coprime pair 2 <= p <= q <= limit with a memoized engine and
-reports any pair whose sequence length exceeds min(p, q) // 2 + 1.  Memory
-grows quadratically with the limit (about 50 MB at 5000); a limit above 23169,
-whose table would pass 1 GiB, is refused with exit code 2.
+Sweeps every coprime pair 2 <= p <= q <= limit with one walk of the
+Stern-Brocot tree and reports any pair whose sequence length exceeds
+min(p, q) // 2 + 1, then the pairs checked per second and the peak RSS.
+Memory grows linearly with the limit and time quadratically; a limit above
+23169 is refused with exit code 2.
 
 Example:
     python3 scripts/termination_scan.py --limit 5000
 """
 
 import argparse
+import resource
+import sys
 import time
 
 from pinchcalc.pinch import sweep_termination
@@ -33,6 +36,11 @@ def main() -> None:
     for p, q, length, cap in violations[:20]:
         print(f"  ({p},{q}): length {length} > cap {cap}")
     print(f"elapsed: {elapsed:.1f}s")
+    print(f"pairs per second: {checked / max(elapsed, 1e-9):,.0f}")
+    rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # ru_maxrss counts bytes there
+        rss_kib /= 1024
+    print(f"peak RSS: {rss_kib / 1024:.1f} MiB")
     raise SystemExit(1 if violations else 0)
 
 

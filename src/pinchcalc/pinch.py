@@ -8,7 +8,6 @@ each subtract one fixed pair from (p, q); pinch_runs finds them with one
 modular inverse per run.
 """
 
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
@@ -251,57 +250,58 @@ def pinch_number(k: TorusKnotParams) -> int:
     return sum(run.count for run in pinch_runs(k))
 
 
-# the largest lengths table sweep_termination allocates, in bytes (limit 23169)
+# sweep_termination refuses a limit when 2 (limit+1)^2 passes this, which
+# bounds its work (about 0.3 limit^2 pairs); 23169 is the largest limit let in
 SWEEP_MAX_BYTES = 1 << 30
 
 
+def swept_pinch_numbers(limit: int) -> Iterator[tuple[int, int, int]]:
+    """(p, q, pinch number) for every coprime 2 <= p < q <= limit, by additions.
+
+    A walk of the Stern-Brocot tree of (0, 1).  If p/q = a/b (+) c/d with
+    bc - ad = 1, then (a, b) are the least witnesses of T(p, q), and its move
+    lands on (|c - a|, |d - b|), the other parent of its younger parent.  So
+    the child a/b (+) p/q has pinch number 1 + N(c/d), and p/q (+) c/d has
+    1 + N(a/b).  A stack entry (a, b, N_a, c, d, N_c, g) is the mediant of
+    a/b and c/d, whose pinch number g its parent worked out.  Each 1/q is an
+    unknot; the other nodes lie once each in the right subtrees of the 1/q.
+    Raises RuntimeError when the witnesses of a node with q == limit differ
+    from pinch_witnesses.
+    """
+    for spine in range(2, (limit + 3) // 2):
+        stack = [(1, spine, 0, 1, spine - 1, 0, 1)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            a, b, na, c, d, nc, n = pop()
+            p, q = a + c, b + d
+            yield p, q, n
+            if q + b <= limit:
+                push((a, b, na, p, q, n, 1 + nc))
+            if q + d <= limit:
+                push((p, q, n, c, d, nc, 1 + na))
+            elif q == limit and pinch_witnesses(p, q) != (a, b):
+                raise RuntimeError(f"T({p}, {q}) has tree witnesses ({a}, {b})")
+
+
 def sweep_termination(limit: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Check every coprime pair 2 <= p <= q <= limit against the iteration cap.
+    """Check every coprime pair 2 <= p < q <= limit against the iteration cap.
 
-    Sequence lengths are memoized over canonical pairs (they are invariant
-    under swapping, since one step on the swapped pair gives the swapped
-    result), so the whole range costs a single pinch step per pair.  Returns
-    (pairs_checked, violations) where each violation is (p, q, length, cap);
-    an empty list means every pinch sequence in range fits its cap.
+    Pinch numbers are swap invariant, and swept_pinch_numbers gives them for
+    p < q in memory linear in the limit.  Returns (pairs_checked, violations)
+    where each violation is (p, q, length, cap), in order; an empty list
+    means every pinch sequence in range fits its cap.
 
-    Raises ValueError when the 2 (limit+1)^2 byte table would pass SWEEP_MAX_BYTES.
+    Raises ValueError when 2 (limit+1)^2 passes SWEEP_MAX_BYTES.
     """
     if limit < 2:
         return 0, []
-    side = limit + 1
-    if 2 * side * side > SWEEP_MAX_BYTES:
+    if 2 * (limit + 1) ** 2 > SWEEP_MAX_BYTES:
         raise ValueError(f"limit {limit} needs a table over {SWEEP_MAX_BYTES} bytes")
-    lengths = array("h", [0]) * (side * side)
-    witnesses = pinch_witnesses
-    pair_gcd = gcd
     checked = 0
     violations = []
-    # ascending p: a step shrinks both coordinates by >= 2, so the successor's
-    # canonical pair sits in an already finished row
-    for p in range(2, side):
-        cap = p // 2 + 1
-        row = p * side
-        for q in range(p + 1, side):
-            if pair_gcd(p, q) != 1:
-                continue
-            t, h = witnesses(p, q)
-            r = p - 2 * t
-            if r < 0:
-                r = -r
-            s = q - 2 * h
-            if s < 0:
-                s = -s
-            if r > s:
-                r, s = s, r
-            if r >= 2:
-                below = lengths[r * side + s]
-                if below <= 0:
-                    raise RuntimeError(f"T({p}, {q}) steps to unswept T({r}, {s})")
-                n_steps = 1 + below
-            else:
-                n_steps = 1
-            lengths[row + q] = n_steps
-            checked += 1
-            if n_steps > cap:
-                violations.append((p, q, n_steps, cap))
+    for p, q, n in swept_pinch_numbers(limit):
+        checked += 1
+        if n > p // 2 + 1:
+            violations.append((p, q, n, p // 2 + 1))
+    violations.sort()
     return checked, violations

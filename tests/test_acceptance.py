@@ -224,7 +224,7 @@ def test_c10_exhaustive_termination():
     checked, violations = sweep_termination(5000)
     ok = violations == [] and checked > 7_000_000
 
-    # ground the memoized sweep against full sequences on a sample
+    # ground the swept pinch numbers against full sequences on a sample
     rng = random.Random(31416)
     sampled = 0
     while sampled < 50:

@@ -521,15 +521,40 @@ class TestSubprocessHarness:
         assert proc.returncode == code
         assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the Linux VmHWM peak")
+    def test_sweep_memory_is_linear(self):
+        # an O(limit^2) lengths table is 18 MB at limit 3000.  The child reads
+        # its own peak RSS, VmHWM, in KiB: ru_maxrss would carry this
+        # process's peak over exec, and a tracemalloc peak would trace
+        # millions of int allocations and take 20 times as long
+        script = (
+            "from pinchcalc.pinch import sweep_termination\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) for line in f\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "before = peak()\n"
+            "sweep_termination(3000)\n"
+            "print(peak() - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=self.env, check=True,
+        )
+        assert int(proc.stdout) < 2048
+
     @pytest.mark.parametrize("patch, call", [
         ("pinch.pinch_witnesses = lambda p, q: (0, 0)", "sweep_termination(10)"),
+        # the walk's witnesses on the last column differ from these
+        ("pinch.pinch_witnesses = lambda p, q: (1, 1)", "sweep_termination(10)"),
         ("pinch.pinch_witnesses = lambda p, q: (p / 2, q / 2)",
          "pinch_move(TorusKnotParams(4, 9))"),
         ("pinch.pinch_witnesses = lambda p, q: (0, 0)",
          "pinch_runs(TorusKnotParams(4, 9))"),
         # not the witnesses of T(4, 9): its one move lands on T(0, 3)
         ("", "list(PinchRun(TorusKnotParams(4, 9), 2, 3, 1, 1).rows())"),
-    ], ids=["sweep-memo", "pinch-move-sign", "pinch-runs-witnesses",
+    ], ids=["sweep-memo", "sweep-tree-witnesses", "pinch-move-sign", "pinch-runs-witnesses",
             "run-rows-coprime"])
     def test_broken_invariant_raises_under_O(self, patch, call):
         # python -O strips assert statements; the invariants must still hold

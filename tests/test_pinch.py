@@ -25,6 +25,7 @@ from pinchcalc.pinch import (
     pinch_sequence,
     pinch_witnesses,
     sweep_termination,
+    swept_pinch_numbers,
 )
 
 coprime_pairs = st.tuples(st.integers(2, 2000), st.integers(2, 2000)).filter(
@@ -287,6 +288,21 @@ class TestSweep:
             n = pinch_number(TorusKnotParams(p, q))
             assert n <= iteration_cap(TorusKnotParams(p, q))
             assert n == pinch_number(TorusKnotParams(q, p))
+
+    def test_walk_matches_pinch_number(self):
+        swept = [(p, q) for p, q, n in swept_pinch_numbers(150)
+                 if n == pinch_number(TorusKnotParams(p, q))]
+        assert sorted(swept) == [
+            (p, q) for p in range(2, 151) for q in range(p + 1, 151)
+            if gcd(p, q) == 1
+        ]
+
+    @given(st.integers(0, 400))
+    @settings(max_examples=40)
+    def test_checked_counts_every_coprime_pair(self, limit):
+        assert sweep_termination(limit)[0] == sum(
+            1 for q in range(limit + 1) for p in range(2, q) if gcd(p, q) == 1
+        )
 
     def test_trivial_limits(self):
         assert sweep_termination(1) == (0, [])
