@@ -5,9 +5,10 @@ Each invocation runs in process through cli_main, once in text and once
 with --json; its argv, exit code, stdout and stderr all feed the digest of
 its command.  The set: the knot commands on coprime pairs of 8 to 256 bits
 (chains of at most MAX_MOVES moves) and on every pair in [-1, 11]^2, the
-member commands on K_n and J_n for n <= 29, both tangle commands on a few
-fractions, and verify in every mode at --max-n 1, 2, 5 and 40.  Two
-checkouts print the same lines exactly when their outputs are identical:
+member commands on K_n and J_n for n <= 29 and jvc on their knots (one run
+of 2n negative moves each), both tangle commands on a few fractions, and
+verify in every mode at --max-n 1, 2, 5 and 40.  Two checkouts print the
+same lines exactly when their outputs are identical:
 
     diff <(PYTHONPATH=old/src python3 scripts/cli_digests.py) \\
          <(PYTHONPATH=src python3 scripts/cli_digests.py)
@@ -22,6 +23,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
 from pinchcalc.cli import COMMANDS, MODES, cli_main
+from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import TorusKnotParams, pinch_number
 
 SEED = 20201101
@@ -57,6 +59,9 @@ def invocations():
         for n in range(30):
             for command in MEMBER_COMMANDS:
                 yield command, [command, family, str(n)]
+            if n:
+                knot = family_knot(FamilyId(family, n))
+                yield "jvc", ["jvc", str(knot.p), str(knot.q)]
     for num, den in ((2, -9), (-4, 25), (4, 3), (1, 3), (5, 3), (0, 1), (1, 0)):
         yield "tangle cf", ["tangle", "cf", str(num), str(den)]
     for matrix in ((1, 0, -7, 1), (2, 1, 1, 1), (1, 0, 0, 2)):

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Exhaustively check pinch sequence termination against the iteration cap.
 
-Sweeps every coprime pair 2 <= p <= q <= limit with one walk of the
+Sweeps every coprime pair 2 <= p < q <= limit with one walk of the
 Stern-Brocot tree and reports any pair whose sequence length exceeds
 min(p, q) // 2 + 1, then the pairs checked per second and the peak RSS.
-Memory grows linearly with the limit and time quadratically; a limit above
-23169 is refused with exit code 2.
+Memory grows linearly with the limit and time quadratically.  A limit above
+SWEEP_MAX_LIMIT (23169, about 1.6e8 pairs) is refused with exit code 2,
+because of the time it would take.
 
 Example:
     python3 scripts/termination_scan.py --limit 5000

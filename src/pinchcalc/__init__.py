@@ -20,7 +20,6 @@ from .arith import (
 from .criteria import (
     CounterexampleReport,
     CriterionNotApplicableError,
-    SignSequence,
     TheoremViolationError,
     counterexample_report,
     jvc_criterion,

@@ -197,9 +197,11 @@ def run_tangle_apply(a, b, c, d, num, den):
 
 def run_jvc(p, q):
     verdict = jvc_criterion(TorusKnotParams(p, q))
-    signs = [fmt_sign(s) for s in verdict.signs]
+    signs: list[str] = []
+    for run in verdict.runs:
+        signs += [fmt_sign(run.sign)] * run.count
     results = {
-        "knot": verdict.knot,
+        "knot": verdict.start,
         "signs": signs,
         "negative_count": verdict.negative_count,
         "equals_pinch_minus_one": verdict.equals_pinch_minus_one,
@@ -466,17 +468,19 @@ def cli_main(argv=None) -> int:
     quiet = inputs.pop("quiet", False)
     try:
         results, text, status = COMMANDS[command][0](**inputs)
-    except (ValueError, RuntimeError) as exc:
-        # a failed theorem check is a violation (1), bad input an error (2),
-        # and any other runtime error an internal bug (3)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        # a failed theorem check is a violation (1), bad input or exhausted
+        # memory an error (2), and any other runtime error an internal bug (3)
         if isinstance(exc, TheoremViolationError):
             status, code = "violation", 1
         else:
-            status, code = "error", 2 if isinstance(exc, ValueError) else 3
+            status, code = "error", 3 if isinstance(exc, RuntimeError) else 2
+        # str(MemoryError()) is empty
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
         if not quiet:
             if as_json:
-                print(to_json(_document(command, {}, {status: str(exc)}, status)))
-            print(f"pinchcalc: {exc}", file=sys.stderr)
+                print(to_json(_document(command, {}, {status: message}, status)))
+            print(f"pinchcalc: {message}", file=sys.stderr)
         return code
 
     if not quiet:

@@ -1,12 +1,12 @@
-"""Sign sequences of pinch moves, the Jabuka-Van Cott style lower-bound
-criterion built on them, and the assembled per-family certificate.
+"""The Jabuka-Van Cott style lower-bound criterion read from the signs of a
+pinch chain, and the assembled per-family certificate.
 """
 
 from dataclasses import dataclass
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .families import FamilyId, family_knot
-from .pinch import TorusKnotParams, pinch_runs
+from .pinch import PinchSequence, TorusKnotParams, pinch_sequence
 from .tangles import is_slice_family, surgery_result_knot
 
 
@@ -18,32 +18,12 @@ class TheoremViolationError(RuntimeError):
     """A family member failed a property every member must have: a bug."""
 
 
-@dataclass(frozen=True)
-class SignSequence:
-    """The signs (+1/-1) of each pinch move from knot down to the unknot."""
-
-    knot: TorusKnotParams
-    signs: tuple[int, ...]
-
-    @property
-    def negative_count(self) -> int:
-        return sum(1 for s in self.signs if s < 0)
-
-    @property
-    def equals_pinch_minus_one(self) -> bool:
-        """The Jabuka-Van Cott verdict: the lower bound reaches pinch number - 1."""
-        return self.negative_count == 1
+def sign_sequence(k: TorusKnotParams) -> PinchSequence:
+    """The pinch chain of k, whose signs are orientation sensitive."""
+    return pinch_sequence(k)
 
 
-def sign_sequence(k: TorusKnotParams) -> SignSequence:
-    """Signs along the pinch sequence of k, orientation sensitive, read from its runs."""
-    signs: list[int] = []
-    for run in pinch_runs(k):
-        signs += [run.sign] * run.count
-    return SignSequence(knot=k, signs=tuple(signs))
-
-
-def jvc_criterion(k: TorusKnotParams) -> SignSequence:
+def jvc_criterion(k: TorusKnotParams) -> PinchSequence:
     """The combinatorial Jabuka-Van Cott test for p even, q odd, both > 1.
 
     The lower bound nu - sigma/2 equals pinch number minus one exactly when
@@ -72,7 +52,7 @@ class CounterexampleReport:
 
 
 def counterexample_report(fid: FamilyId) -> CounterexampleReport:
-    """The certificate of K_n (n >= 1) or J_n (n >= 2), read from its pinch runs.
+    """The certificate of K_n (n >= 1) or J_n (n >= 2), read from its pinch chain.
 
     Pinch number 2n, 2n-1 band surgeries to a recognized slice two-bridge
     knot, and a failing lower-bound criterion.  Raises ValueError for J_1,
@@ -83,10 +63,8 @@ def counterexample_report(fid: FamilyId) -> CounterexampleReport:
         raise ValueError("J_1 is unknotted; no counterexample report")
     n = fid.n
     knot = family_knot(fid)
-    # family knots are T(even, odd) with both > 1, so the criterion applies
-    runs = pinch_runs(knot)
-    pinch = sum(run.count for run in runs)
-    negatives = sum(run.count for run in runs if run.sign < 0)
+    chain = jvc_criterion(knot)
+    pinch = chain.pinch_number
     bridge = surgery_result_knot(fid)
     cf = cf_even_expand(bridge.normalized)
     if pinch != 2 * n:
@@ -103,7 +81,6 @@ def counterexample_report(fid: FamilyId) -> CounterexampleReport:
         band_count=2 * n - 1,
         slice_fraction=bridge.normalized,
         slice_cf=cf,
-        jvc_negative_count=negatives,
-        # the verdict of SignSequence.equals_pinch_minus_one
-        jvc_equals_pinch_minus_one=negatives == 1,
+        jvc_negative_count=chain.negative_count,
+        jvc_equals_pinch_minus_one=chain.equals_pinch_minus_one,
     )

@@ -84,22 +84,6 @@ class PinchStep:
     sign: int
 
 
-@dataclass(frozen=True)
-class PinchSequence:
-    """The full chain of pinch moves from start down to an unknot."""
-
-    start: TorusKnotParams
-    steps: tuple[PinchStep, ...]
-
-    @property
-    def pinch_number(self) -> int:
-        return len(self.steps)
-
-    def knots(self) -> list[TorusKnotParams]:
-        """Every knot visited, start first and the terminal unknot last."""
-        return [self.start] + [s.target for s in self.steps]
-
-
 class PinchRun(NamedTuple):
     """count consecutive pinch moves of one sign, the first from start.
 
@@ -155,6 +139,46 @@ class PinchRun(NamedTuple):
             target = TorusKnotParams(p2, q2)
             yield PinchStep(source, target, t, h, p - 2 * t, q - 2 * h, self.sign)
             source = target
+
+
+@dataclass(frozen=True)
+class PinchSequence:
+    """The chain of pinch moves from start down to an unknot, held as its runs.
+
+    Counts are sums over the runs; steps, knots() and signs expand each move.
+    """
+
+    start: TorusKnotParams
+    runs: tuple[PinchRun, ...]
+
+    @property
+    def pinch_number(self) -> int:
+        return sum(run.count for run in self.runs)
+
+    @property
+    def negative_count(self) -> int:
+        return sum(run.count for run in self.runs if run.sign < 0)
+
+    @property
+    def equals_pinch_minus_one(self) -> bool:
+        """The Jabuka-Van Cott verdict: the lower bound reaches pinch number - 1."""
+        return self.negative_count == 1
+
+    @property
+    def steps(self) -> tuple[PinchStep, ...]:
+        return tuple(step for run in self.runs for step in run.steps())
+
+    def knots(self) -> list[TorusKnotParams]:
+        """Every knot visited, start first and the terminal unknot last."""
+        return [self.start] + [s.target for s in self.steps]
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """The sign of each move; a run too long to hold fails as it is allocated."""
+        signs: list[int] = []
+        for run in self.runs:
+            signs += [run.sign] * run.count
+        return tuple(signs)
 
 
 def pinch_witnesses(p: int, q: int) -> tuple[int, int]:
@@ -233,16 +257,12 @@ def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
 
 
 def pinch_sequence(k: TorusKnotParams) -> PinchSequence:
-    """The unique chain of pinch moves from k to an unknot, expanded from its runs.
+    """The unique chain of pinch moves from k to an unknot, as its runs.
 
-    Empty when k is already unknotted.  Holds every step in memory as a
-    PinchStep; callers that need only counts or signs read pinch_runs, and
-    those that need each move as plain ints read PinchRun.rows.
+    Empty when k is already unknotted.  Costs what pinch_runs costs; callers
+    that need each move as plain ints read PinchRun.rows instead of steps.
     """
-    steps: list[PinchStep] = []
-    for run in pinch_runs(k):
-        steps.extend(run.steps())
-    return PinchSequence(start=k, steps=tuple(steps))
+    return PinchSequence(k, pinch_runs(k))
 
 
 def pinch_number(k: TorusKnotParams) -> int:
@@ -250,9 +270,9 @@ def pinch_number(k: TorusKnotParams) -> int:
     return sum(run.count for run in pinch_runs(k))
 
 
-# sweep_termination refuses a limit when 2 (limit+1)^2 passes this, which
-# bounds its work (about 0.3 limit^2 pairs); 23169 is the largest limit let in
-SWEEP_MAX_BYTES = 1 << 30
+# the largest limit sweep_termination takes; it bounds the work, about
+# 0.3 limit^2 = 1.6e8 pairs, since the walk's memory is linear in the limit
+SWEEP_MAX_LIMIT = 23169
 
 
 def swept_pinch_numbers(limit: int) -> Iterator[tuple[int, int, int]]:
@@ -287,16 +307,14 @@ def sweep_termination(limit: int) -> tuple[int, list[tuple[int, int, int, int]]]
     """Check every coprime pair 2 <= p < q <= limit against the iteration cap.
 
     Pinch numbers are swap invariant, and swept_pinch_numbers gives them for
-    p < q in memory linear in the limit.  Returns (pairs_checked, violations)
-    where each violation is (p, q, length, cap), in order; an empty list
-    means every pinch sequence in range fits its cap.
+    p < q in memory linear in the limit and time quadratic in it.  Returns
+    (pairs_checked, violations) where each violation is (p, q, length, cap),
+    in order; an empty list means every pinch sequence in range fits its cap.
 
-    Raises ValueError when 2 (limit+1)^2 passes SWEEP_MAX_BYTES.
+    Raises ValueError when the limit passes SWEEP_MAX_LIMIT.
     """
-    if limit < 2:
-        return 0, []
-    if 2 * (limit + 1) ** 2 > SWEEP_MAX_BYTES:
-        raise ValueError(f"limit {limit} needs a table over {SWEEP_MAX_BYTES} bytes")
+    if limit > SWEEP_MAX_LIMIT:
+        raise ValueError(f"limit {limit} is over the sweep bound {SWEEP_MAX_LIMIT}")
     checked = 0
     violations = []
     for p, q, n in swept_pinch_numbers(limit):

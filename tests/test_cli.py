@@ -483,6 +483,24 @@ class TestSubprocessHarness:
         assert results["pinch_number"] == results["jvc_negative_count"] == 2 * n
         assert results["band_count"] == 2 * n - 1
 
+    @pytest.mark.parametrize("form", [["--json"], []], ids=["json", "text"])
+    def test_out_of_memory_is_an_error(self, form):
+        # 5 * 10^17 printed signs cannot be held: an error (2), not a
+        # violation (1).  The address-space cap keeps the attempt small
+        resource = pytest.importorskip("resource")
+        cap, p = (1 << 30, 1 << 30), 10**18
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinchcalc", "jvc", str(p), str(p + 1), *form],
+            capture_output=True, text=True, env=self.env, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "pinchcalc: out of memory\n"
+        if form:
+            assert proc.stdout == doc("jvc", "", '"error":"out of memory"', "error")
+        else:
+            assert proc.stdout == ""
+
     def test_domain_error(self):
         proc = self._run("pinch-move", "2", "4")
         assert proc.returncode == 2
@@ -506,10 +524,9 @@ class TestSubprocessHarness:
         (["print_pinch_tables.py", "--max-n", "2"], 0,
          "K_1 = (4,9) -> (2,5) -> (0,1)   [2 pinches]"),
         (["cli_digests.py"], 0, CLI_DIGEST_PINCH_SEQ),
-        # refused before the sweep allocates its 20 GB table
+        # about 3e9 pairs, refused before the walk starts
         (["termination_scan.py", "--limit", "100000"], 2,
-         "termination_scan.py: error: limit 100000 needs a table over "
-         "1073741824 bytes"),
+         "termination_scan.py: error: limit 100000 is over the sweep bound 23169"),
     ], ids=["termination-scan", "pinch-tables", "cli-digests",
             "termination-scan-refused"])
     def test_script(self, script, code, line):
@@ -554,8 +571,8 @@ class TestSubprocessHarness:
          "pinch_runs(TorusKnotParams(4, 9))"),
         # not the witnesses of T(4, 9): its one move lands on T(0, 3)
         ("", "list(PinchRun(TorusKnotParams(4, 9), 2, 3, 1, 1).rows())"),
-    ], ids=["sweep-memo", "sweep-tree-witnesses", "pinch-move-sign", "pinch-runs-witnesses",
-            "run-rows-coprime"])
+    ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "pinch-move-sign",
+            "pinch-runs-witnesses", "run-rows-coprime"])
     def test_broken_invariant_raises_under_O(self, patch, call):
         # python -O strips assert statements; the invariants must still hold
         script = (

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from pinchcalc import criteria
 from pinchcalc.arith import ReducedFraction
 from pinchcalc.criteria import (
     CriterionNotApplicableError,
@@ -96,3 +102,29 @@ class TestCounterexampleReport:
                 assert r.band_count == 2 * n - 1
                 assert r.jvc_negative_count == 2 * n
                 assert not r.jvc_equals_pinch_minus_one
+
+
+class TestSingleRunAtScale:
+    def test_counts_answer_under_a_memory_cap(self):
+        pytest.importorskip("resource")
+        # T(10^18, 10^18 + 1) is one negative run of 5 * 10^17 moves, and
+        # K_(10^12) one of 2 * 10^12; a chain expanded per move would not
+        # fit under 1 GiB of address space
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pinchcalc.criteria import counterexample_report, jvc_criterion\n"
+            "from pinchcalc.families import FamilyId\n"
+            "from pinchcalc.pinch import TorusKnotParams, pinch_sequence\n"
+            "k = TorusKnotParams(10**18, 10**18 + 1)\n"
+            "print(pinch_sequence(k).pinch_number, jvc_criterion(k).negative_count,\n"
+            "      counterexample_report(FamilyId('K', 10**12)).jvc_negative_count)\n"
+        )
+        # the child imports the same pinchcalc as this test run
+        env = {**os.environ, "PYTHONPATH": str(Path(criteria.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(5 * 10**17)] * 2 + [str(2 * 10**12)]

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from pinchcalc import pinch
 from pinchcalc.cli import cli_main, step_payload, to_json
+from pinchcalc.criteria import jvc_criterion, sign_sequence
 from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import (
-    SWEEP_MAX_BYTES,
+    SWEEP_MAX_LIMIT,
     CannotPinchUnknotError,
     InvalidKnotError,
     PinchRun,
@@ -187,6 +188,21 @@ class TestPinchSequence:
         b = pinch_sequence(TorusKnotParams(16, 81))
         assert a == b
 
+    @given(big_pairs)
+    @example((16, 21))
+    @example((2**256 - 1, 2**256))
+    def test_counts_and_signs_match_the_step_chain(self, pq):
+        k = TorusKnotParams(*pq)
+        seq = pinch_sequence(k)
+        oracle = move_chain(k, ORACLE_MOVES)
+        if seq.pinch_number <= ORACLE_MOVES:
+            signs = tuple(s.sign for s in oracle)
+            assert seq.signs == signs
+            assert seq.negative_count == signs.count(-1)
+            assert seq.equals_pinch_minus_one == (signs.count(-1) == 1)
+        if k.p > 1 and k.q > 1 and k.p % 2 == 0 and k.q % 2 == 1:
+            assert sign_sequence(k) == jvc_criterion(k) == seq
+
     @given(coprime_pairs)
     @settings(max_examples=100)
     def test_within_cap(self, pq):
@@ -297,6 +313,16 @@ class TestSweep:
             if gcd(p, q) == 1
         ]
 
+    @pytest.mark.parametrize("limit", [1999, 2000])
+    def test_last_column_matches_the_run_engine(self, limit):
+        column = [(p, n) for p, q, n in swept_pinch_numbers(limit) if q == limit]
+        assert sorted(p for p, _ in column) == [
+            p for p in range(2, limit) if gcd(p, limit) == 1]
+        assert all(n == pinch_number(TorusKnotParams(p, limit)) for p, n in column)
+
+    def test_negative_limits_sweep_nothing(self):
+        assert sweep_termination(-1) == sweep_termination(-10**9) == (0, [])
+
     @given(st.integers(0, 400))
     @settings(max_examples=40)
     def test_checked_counts_every_coprime_pair(self, limit):
@@ -308,12 +334,12 @@ class TestSweep:
         assert sweep_termination(1) == (0, [])
 
     def test_refuses_table_over_bound(self, monkeypatch):
-        # two bytes per (p, q) cell: 23169 is the largest limit within 1 GiB
-        assert 2 * 23170**2 <= SWEEP_MAX_BYTES < 2 * 23171**2
-        # a 2 TB table, refused before anything is allocated
+        # the largest limit swept, about 1.6e8 pairs of work
+        assert SWEEP_MAX_LIMIT == 23169
+        # about 3e11 pairs, refused before the walk starts
         with pytest.raises(ValueError, match="limit 1000000 "):
             sweep_termination(10**6)
-        monkeypatch.setattr(pinch, "SWEEP_MAX_BYTES", 2 * 11 * 11)
+        monkeypatch.setattr(pinch, "SWEEP_MAX_LIMIT", 10)
         assert sweep_termination(10)[1] == []
         with pytest.raises(ValueError, match="limit 11 "):
             sweep_termination(11)
