@@ -247,22 +247,8 @@ def run_report(family, n):
 # ---------------------------------------------------------------------------
 # verification harness: each section checks the range on its own
 
-# the sections each verify mode runs, in document order
-MODES = {
-    "tables": ("tables",),
-    "corollaries": ("j_to_k", "k_independence"),
-    "all": ("tables", "closed_form", "j_to_k", "k_independence", "reports"),
-}
-
-# summary line of each section after the tables, in document order
-SECTION_LINES = {
-    "closed_form": "pinch numbers and closed form: {checked} sequences checked, "
-                   "{count} violations (n <= {max_n})",
-    "j_to_k": "four pinches J_n -> K_(n-2): {checked} checked, {count} violations",
-    "k_independence": "K sequences avoid other K members: m, n <= {checked}, "
-                      "{count} collisions",
-    "reports": "counterexample reports: {checked} certified, {count} violations",
-}
+# the largest --max-n verified; `verify all` costs about N^2 (66 s at 3000)
+VERIFY_MAX_N = 3000
 
 
 def _members(max_n: int):
@@ -340,54 +326,62 @@ def check_reports(max_n: int) -> dict:
     return {"checked": checked, "violations": violations}
 
 
+# each section in document order: (check of max_n, summary line).  The
+# checks are looked up by name at call time, so wrapping or patching a
+# module attribute reaches them
+SECTIONS = {
+    "tables": (lambda max_n: check_reference_tables(),
+               "K: {K[matched]}/{K[total]} rows match, "
+               "J: {J[matched]}/{J[total]} rows match"),
+    "closed_form": (lambda max_n: check_pinch_numbers_and_closed_form(max_n),
+                    "pinch numbers and closed form: {checked} sequences checked, "
+                    "{count} violations (n <= {max_n})"),
+    "j_to_k": (lambda max_n: check_j_to_k(max_n),
+               "four pinches J_n -> K_(n-2): {checked} checked, {count} violations"),
+    "k_independence": (lambda max_n: check_k_independence(max_n),
+                       "K sequences avoid other K members: m, n <= {checked}, "
+                       "{count} collisions"),
+    "reports": (lambda max_n: check_reports(max_n),
+                "counterexample reports: {checked} certified, {count} violations"),
+}
+# the sections each verify mode runs
+MODES = {
+    "tables": ("tables",),
+    "corollaries": ("j_to_k", "k_independence"),
+    "all": tuple(SECTIONS),
+}
+
+
+def _violations(section: dict) -> list:
+    """What a section found wrong; for the tables, each family's mismatches."""
+    if "violations" in section:
+        return section["violations"]
+    return [m for family in section.values() for m in family["mismatches"]]
+
+
 def verify_all(max_n: int, mode: str = "all") -> dict:
-    """Run the requested verification sections and aggregate violations.
+    """Run the sections of one mode, in document order, and aggregate violations.
 
     Returns a full report document; status is "violation" when any section
-    found one, "ok" otherwise.  Raises ValueError for a mode not in MODES.
+    found one, "ok" otherwise.  Raises ValueError for a mode not in MODES,
+    and for max_n below 2 or above VERIFY_MAX_N.
     """
     if mode not in MODES:
         raise ValueError(f"unknown verify mode {mode!r}, expected one of {list(MODES)}")
     if max_n < 2:
         raise ValueError(f"needs max_n >= 2, got {max_n}")
-    # the checks are looked up by name at call time, so wrapping or patching
-    # a module attribute reaches them
-    checks = {
-        "tables": lambda: check_reference_tables(),
-        "closed_form": lambda: check_pinch_numbers_and_closed_form(max_n),
-        "j_to_k": lambda: check_j_to_k(max_n),
-        "k_independence": lambda: check_k_independence(max_n),
-        "reports": lambda: check_reports(max_n),
-    }
-    results = {key: checks[key]() for key in MODES[mode]}
-
-    clean = all(not t["mismatches"] for t in results.get("tables", {}).values())
-    clean &= all(not results[key]["violations"] for key in SECTION_LINES if key in results)
-    status = "ok" if clean else "violation"
+    if max_n > VERIFY_MAX_N:
+        raise ValueError(f"max_n {max_n} is over the verify bound {VERIFY_MAX_N}")
+    results = {key: SECTIONS[key][0](max_n) for key in MODES[mode]}
+    status = "violation" if any(map(_violations, results.values())) else "ok"
     return _document("verify", {"mode": mode, "max_n": max_n}, results, status)
-
-
-def verify_text(doc: dict) -> list[str]:
-    results = doc["results"]
-    text = []
-    if "tables" in results:
-        tk, tj = results["tables"]["K"], results["tables"]["J"]
-        text.append(
-            f"K: {tk['matched']}/{tk['total']} rows match, "
-            f"J: {tj['matched']}/{tj['total']} rows match"
-        )
-    for key, line in SECTION_LINES.items():
-        if key in results:
-            sec = results[key]
-            text.append(line.format(checked=sec["checked"], max_n=doc["inputs"]["max_n"],
-                                    count=len(sec["violations"])))
-    text.append(f"status: {doc['status']}")
-    return text
 
 
 def run_verify(mode, max_n):
     doc = verify_all(max_n, mode)
-    return doc["results"], verify_text(doc), doc["status"]
+    text = [SECTIONS[key][1].format(**sec, count=len(_violations(sec)), max_n=max_n)
+            for key, sec in doc["results"].items()]
+    return doc["results"], text + [f"status: {doc['status']}"], doc["status"]
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +488,3 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -68,6 +68,22 @@ def reject_slice(monkeypatch):
     )
 
 
+def fail_j_to_k_at_3(monkeypatch):
+    """Four pinches from J_3 miss K_1."""
+    real = cli.verify_j_to_k
+    monkeypatch.setattr(cli, "verify_j_to_k", lambda n: n != 3 and real(n))
+
+
+def collide_k_3_with_k_1(monkeypatch):
+    """The chain of K_3 passes through K_1."""
+    monkeypatch.setattr(cli, "verify_k_independence", lambda max_n: [(3, 1)])
+
+
+def mismatch_k_1_row(monkeypatch):
+    """The frozen K_1 row ends at (0, 3), not the unknot."""
+    monkeypatch.setitem(cli.REFERENCE_ROWS_K, 1, [(4, 9), (2, 5), (0, 3)])
+
+
 def no_patch(monkeypatch):
     pass
 
@@ -307,6 +323,47 @@ GOLDEN = [
         "", id="reports-violation-text",
     ),
     pytest.param(
+        ["verify", "corollaries", "--max-n", "5", "--json"], fail_j_to_k_at_3, 1,
+        doc("verify", '"mode":"corollaries","max_n":5',
+            '"j_to_k":{"checked":4,"violations":[3]},'
+            '"k_independence":{"checked":5,"violations":[]}', "violation"),
+        "", id="j-to-k-violation",
+    ),
+    pytest.param(
+        ["verify", "corollaries", "--max-n", "5"], fail_j_to_k_at_3, 1,
+        "four pinches J_n -> K_(n-2): 4 checked, 1 violations\n"
+        "K sequences avoid other K members: m, n <= 5, 0 collisions\n"
+        "status: violation\n",
+        "", id="j-to-k-violation-text",
+    ),
+    pytest.param(
+        ["verify", "corollaries", "--max-n", "5", "--json"], collide_k_3_with_k_1, 1,
+        doc("verify", '"mode":"corollaries","max_n":5',
+            '"j_to_k":{"checked":4,"violations":[]},'
+            '"k_independence":{"checked":5,"violations":[[3,1]]}', "violation"),
+        "", id="k-independence-violation",
+    ),
+    pytest.param(
+        ["verify", "corollaries", "--max-n", "5"], collide_k_3_with_k_1, 1,
+        "four pinches J_n -> K_(n-2): 4 checked, 0 violations\n"
+        "K sequences avoid other K members: m, n <= 5, 1 collisions\n"
+        "status: violation\n",
+        "", id="k-independence-violation-text",
+    ),
+    pytest.param(
+        ["verify", "tables", "--json"], mismatch_k_1_row, 1,
+        doc("verify", '"mode":"tables","max_n":50',
+            '"tables":{"K":{"matched":4,"total":5,"mismatches":['
+            '{"n":1,"expected":[[4,9],[2,5],[0,3]],"got":[[4,9],[2,5],[0,1]]}]},'
+            '"J":{"matched":4,"total":4,"mismatches":[]}}', "violation"),
+        "", id="tables-violation",
+    ),
+    pytest.param(
+        ["verify", "tables"], mismatch_k_1_row, 1,
+        "K: 4/5 rows match, J: 4/4 rows match\nstatus: violation\n",
+        "", id="tables-violation-text",
+    ),
+    pytest.param(
         ["report", "K", "2", "--json"], reject_slice, 1,
         doc("report", "", f'"violation":"{SLICE_VIOLATION_K_2}"', "violation"),
         f"pinchcalc: {SLICE_VIOLATION_K_2}\n", id="report-violation",
@@ -501,6 +558,14 @@ class TestSubprocessHarness:
         else:
             assert proc.stdout == ""
 
+    def test_verify_is_bounded_work(self):
+        # refused before any section runs; in a child, since without the
+        # bound the sections would run for months
+        proc = self._run("verify", "all", "--max-n", "1000000000", timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "pinchcalc: max_n 1000000000 is over the verify bound 3000\n")
+
     def test_domain_error(self):
         proc = self._run("pinch-move", "2", "4")
         assert proc.returncode == 2
@@ -608,3 +673,19 @@ class TestVerifyAll:
     def test_rejects_small_range(self):
         with pytest.raises(ValueError):
             verify_all(1)
+
+    def test_refuses_range_over_bound(self, monkeypatch):
+        # `verify all` costs about N^2: 66 s at N = 3000
+        assert cli.VERIFY_MAX_N == 3000
+        monkeypatch.setattr(cli, "VERIFY_MAX_N", 10)
+        assert verify_all(10)["status"] == "ok"
+        # every mode is refused, tables too, though it does not read N
+        for mode in cli.MODES:
+            with pytest.raises(ValueError, match="max_n 11 is over the verify bound 10"):
+                verify_all(11, mode)
+
+    def test_a_j_table_mismatch_is_a_violation(self, monkeypatch):
+        monkeypatch.setitem(cli.REFERENCE_ROWS_J, 2, [(8, 9), (0, 1)])
+        doc = verify_all(2, "tables")
+        assert doc["status"] == "violation"
+        assert [m["n"] for m in doc["results"]["tables"]["J"]["mismatches"]] == [2]
