@@ -117,8 +117,9 @@ def run_pinch_seq(p, q):
     start = TorusKnotParams(p, q)
     # the chain is expanded and checked here; the text is only formatted
     steps = [
-        {"from": [a, b], "to": [c, d], "t": t, "h": h, "sign": fmt_sign(run.sign)}
-        for run in pinch_runs(start) for a, b, t, h, c, d in run.rows()
+        {"from": [a, b], "to": [c, d], "t": t, "h": h, "sign": sign}
+        for run in pinch_runs(start) for sign in [fmt_sign(run.sign)]
+        for a, b, t, h, c, d in run.rows()
     ]
     results = {"start": start, "steps": steps, "pinch_number": len(steps)}
 

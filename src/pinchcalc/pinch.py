@@ -5,7 +5,7 @@ smallest nonnegative solutions of t = -q^{-1} (mod p) and h = p^{-1} (mod q).
 Iterating always reaches the unknot, and the number of moves needed is the
 pinch number of the knot.  The chain falls into a few runs of moves that
 each subtract one fixed pair from (p, q); pinch_runs finds them with one
-modular inverse per run.
+modular inverse per chain, plus a division by the current knot per run.
 """
 
 from collections.abc import Iterator
@@ -119,16 +119,30 @@ class PinchRun(NamedTuple):
 
     def rows(self) -> Iterator[tuple[int, int, int, int, int, int]]:
         """The run's moves as plain ints (p, q, t, h, p', q'): source, witnesses,
-        target.  Raises RuntimeError when a target is not a coprime pair."""
+        target.
+
+        Raises RuntimeError, before the first move, unless the witness
+        identity ph - qt = 1 holds and the run's end (p, q) - count * stride
+        is nonnegative.  These two checks, made once, make every target a
+        coprime pair.  The end bound keeps each move's p_j - 2t_j and
+        q_j - 2h_j of the run's sign or zero, so each move subtracts the
+        stride.  A positive run moves (p, q) by multiples of (t, h), and a
+        negative run moves (p, q) and (t, h) alike by multiples of (u, v);
+        neither changes ph - qt, so p_j h_j - q_j t_j = 1 on every move.  The
+        target (|p_j - 2t_j|, |q_j - 2h_j|) then has
+        (p_j - 2t_j) h_j - (q_j - 2h_j) t_j = 1, so its gcd is 1: the checks
+        catch every run that a gcd per move would.
+        """
         dp, dq = self.stride
+        p, q, t, h = self.start.p, self.start.q, self.t, self.h
+        if p * h - q * t != 1 or min(p - self.count * dp, q - self.count * dq) < 0:
+            raise RuntimeError(
+                f"T({p},{q}): ({t}, {h}) do not start a run of {self.count} moves")
         # witnesses stay put on a positive run and fall by the stride on a
         # negative one, where p_j - u and q_j - v shrink with p_j and q_j
         dt, dh = (0, 0) if self.sign > 0 else (dp, dq)
-        p, q, t, h = self.start.p, self.start.q, self.t, self.h
         for _ in range(self.count):
             p2, q2 = abs(p - 2 * t), abs(q - 2 * h)
-            if gcd(p2, q2) != 1:
-                raise RuntimeError(f"T({p},{q}) moves to non-coprime ({p2}, {q2})")
             yield p, q, t, h, p2, q2
             p, q, t, h = p2, q2, t - dt, h - dh
 
@@ -224,11 +238,20 @@ def iteration_cap(k: TorusKnotParams) -> int:
 
 
 def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
-    """The pinch sequence of k as maximal runs, one modular inverse each.
+    """The pinch sequence of k as maximal runs, with one modular inverse in all.
+
+    Only k's witnesses come from pinch_witnesses; each later run's come from
+    the run before, with one division by the current knot (p', q').  A pair
+    (T, H) with p'H - q'T = 1 gives the least witnesses (T - jp', H - jq')
+    for j = T // p'.  After a positive run its witnesses (t, h) are such a
+    pair, since each move keeps ph - qt.  After a negative run the negated
+    complement (-u, -v) = (t - p, h - q) is one, since pv - qu = -1 and each
+    move subtracts a multiple of (u, v).
 
     Empty when k is already unknotted.  Raises RuntimeError when a run's
-    witnesses break 1 <= t < p, 1 <= h < q, ph - qt = 1, and
-    IterationCapError when the moves pass the iteration cap.
+    witnesses break 1 <= t < p, 1 <= h < q, ph - qt = 1, which certifies
+    each carried pair as the least witnesses, and IterationCapError when the
+    moves pass the iteration cap.
     """
     runs: list[PinchRun] = []
     cap = iteration_cap(k)
@@ -236,7 +259,11 @@ def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
     cur = k
     while not cur.is_unknot():
         p, q = cur.p, cur.q
-        t, h = pinch_witnesses(p, q)
+        if runs:
+            j = t // p
+            t, h = t - j * p, h - j * q
+        else:
+            t, h = pinch_witnesses(p, q)
         if not (0 < t < p and 0 < h < q and p * h - q * t == 1):
             raise RuntimeError(f"T{cur}: ({t}, {h}) are not its pinch witnesses")
         if p > 2 * t:
@@ -253,6 +280,9 @@ def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
         run = PinchRun(cur, t, h, count, sign)
         runs.append(run)
         cur = run.end
+        if sign < 0:
+            # carry the negated complement (-u, -v) to the next run
+            t, h = t - p, h - q
     return tuple(runs)
 
 

@@ -636,8 +636,10 @@ class TestSubprocessHarness:
          "pinch_runs(TorusKnotParams(4, 9))"),
         # not the witnesses of T(4, 9): its one move lands on T(0, 3)
         ("", "list(PinchRun(TorusKnotParams(4, 9), 2, 3, 1, 1).rows())"),
+        # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
+        ("", "list(PinchRun(TorusKnotParams(4, 9), 1, 1, 1, 1).rows())"),
     ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "pinch-move-sign",
-            "pinch-runs-witnesses", "run-rows-coprime"])
+            "pinch-runs-witnesses", "run-rows-coprime", "run-rows-witnesses"])
     def test_broken_invariant_raises_under_O(self, patch, call):
         # python -O strips assert statements; the invariants must still hold
         script = (

@@ -59,6 +59,44 @@ def assert_swap_symmetric(k):
     assert [-r.sign for r in runs] == [r.sign for r in swapped]
 
 
+def per_run_runs(k):
+    """Reference engine: the runs of k with pinch_witnesses at every run start."""
+    runs = []
+    while not k.is_unknot():
+        t, h = pinch_witnesses(k.p, k.q)
+        if k.p > 2 * t:
+            sign, count = 1, (k.p - 1) // (2 * t)
+        else:
+            sign, count = -1, k.p // (2 * (k.p - t))
+        runs.append(PinchRun(k, t, h, count, sign))
+        k = runs[-1].end
+    return tuple(runs)
+
+
+def wide_pairs(bits, count, seed):
+    """count seeded coprime pairs whose coordinates both have the given width."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        p, q = (rng.getrandbits(bits - 1) | 1 << (bits - 1) for _ in range(2))
+        if gcd(p, q) == 1:
+            pairs.append((p, q))
+    return pairs
+
+
+def count_witness_calls(monkeypatch):
+    """Wrap pinch.pinch_witnesses; the returned list collects each call's (p, q)."""
+    calls = []
+    witnesses = pinch.pinch_witnesses
+
+    def counted(p, q):
+        calls.append((p, q))
+        return witnesses(p, q)
+
+    monkeypatch.setattr(pinch, "pinch_witnesses", counted)
+    return calls
+
+
 def scan_witnesses(p, q):
     """Independent oracle: first t with q*t = -1 (mod p), first h with
     p*h = 1 (mod q), found by linear scan."""
@@ -260,6 +298,39 @@ class TestPinchRuns:
             assert json.loads(out.getvalue())["results"]["steps"] == [
                 json.loads(to_json(step_payload(s))) for s in oracle
             ]
+
+    @given(big_pairs)
+    @example((2**256 - 1, 2**256))
+    def test_carried_witnesses_match_the_run_start_oracle(self, pq):
+        for run in pinch_runs(TorusKnotParams(*pq)):
+            assert (run.t, run.h) == pinch_witnesses(run.start.p, run.start.q)
+
+    @pytest.mark.parametrize("bits", [1024, 2048, 4096])
+    def test_wide_runs_match_the_per_run_engine(self, bits):
+        for pq in wide_pairs(bits, 5, seed=bits):
+            k = TorusKnotParams(*pq)
+            assert pinch_runs(k) == per_run_runs(k)
+
+    @pytest.mark.parametrize("pq", [wide_pairs(4096, 1, seed=1)[0], (16, 21)],
+                             ids=["4096-bit", "T(16,21)"])
+    def test_one_inverse_per_chain(self, monkeypatch, pq):
+        calls = count_witness_calls(monkeypatch)
+        assert len(pinch_runs(TorusKnotParams(*pq))) >= 2
+        assert calls == [pq]
+
+    @pytest.mark.parametrize("pq", [(1, 0), (0, 1), (7, 1), (1, 2**4096)])
+    def test_no_inverse_on_an_unknot(self, monkeypatch, pq):
+        calls = count_witness_calls(monkeypatch)
+        assert pinch_runs(TorusKnotParams(*pq)) == ()
+        assert calls == []
+
+    def test_rows_check_the_run_once(self):
+        # T(4, 9) -> T(2, 7) is coprime, but (1, 1) are not its witnesses
+        with pytest.raises(RuntimeError, match="do not start a run of 1 moves"):
+            next(PinchRun(TorusKnotParams(4, 9), 1, 1, 1, 1).rows())
+        # the witnesses of T(3, 5), but its one positive move reaches T(1, 1)
+        with pytest.raises(RuntimeError, match="do not start a run of 2 moves"):
+            next(PinchRun(TorusKnotParams(3, 5), 1, 2, 2, 1).rows())
 
     @given(big_pairs)
     def test_swap_symmetry(self, pq):
