@@ -17,7 +17,7 @@ def print_table(family: str, max_n: int) -> None:
     for n in range(lo, max_n + 1):
         fid = FamilyId(family, n)
         seq = pinch_sequence(family_knot(fid))
-        chain = " -> ".join(f"({k.p},{k.q})" for k in seq.knots())
+        chain = " -> ".join(f"({p},{q})" for p, q in seq.knots())
         print(f"{fid} = {chain}   [{seq.pinch_number} pinches]")
 
 

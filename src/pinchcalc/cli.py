@@ -20,7 +20,7 @@ from .families import (
     verify_j_to_k,
     verify_k_independence,
 )
-from .pinch import TorusKnotParams, pinch_move, pinch_number, pinch_runs
+from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_number, pinch_runs
 from .tangles import MatSL2, is_slice_family, mat_apply, surgery_result_knot
 
 SCHEMA_VERSION = "1"
@@ -87,29 +87,17 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":"), default=_json_value)
 
 
-def step_payload(step) -> dict:
-    return {
-        "from": step.source,
-        "to": step.target,
-        "t": step.t,
-        "h": step.h,
-        "sign": fmt_sign(step.sign),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: parsed arguments in, (results, text lines, status) out
 
 
 def run_pinch_move(p, q):
     step = pinch_move(TorusKnotParams(p, q))
-    results = step_payload(step)
-    results["p_minus_2t"] = step.p_minus_2t
-    results["q_minus_2h"] = step.q_minus_2h
-    text = [
-        f"{step.source} -> {step.target}  "
-        f"t={step.t}  h={step.h}  sign={fmt_sign(step.sign)}"
-    ]
+    sign = fmt_sign(step.sign)
+    results = {"from": step.source, "to": step.target, "t": step.t, "h": step.h,
+               "sign": sign, "p_minus_2t": step.p_minus_2t,
+               "q_minus_2h": step.q_minus_2h}
+    text = [f"{step.source} -> {step.target}  t={step.t}  h={step.h}  sign={sign}"]
     return results, text, "ok"
 
 
@@ -259,12 +247,6 @@ def _members(max_n: int):
             yield FamilyId(family, n)
 
 
-def _chain_pairs(knot: TorusKnotParams) -> list[tuple[int, int]]:
-    """Every knot the pinch chain of knot visits as (p, q), start first."""
-    return [(knot.p, knot.q)] + [
-        (c, d) for run in pinch_runs(knot) for *_, c, d in run.rows()]
-
-
 def check_reference_tables() -> dict:
     """Diff freshly computed pinch sequences against the frozen rows."""
     out = {}
@@ -272,7 +254,8 @@ def check_reference_tables() -> dict:
         matched = 0
         mismatches = []
         for n, expected in sorted(rows.items()):
-            chain = _chain_pairs(TorusKnotParams(*expected[0]))
+            start = TorusKnotParams(*expected[0])
+            chain = PinchSequence(start, pinch_runs(start)).knots()
             if chain == expected:
                 matched += 1
             else:
@@ -291,7 +274,8 @@ def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
     violations = []
     for fid in _members(max_n):
         n = fid.n
-        knots = _chain_pairs(family_knot(fid))
+        knot = family_knot(fid)
+        knots = PinchSequence(knot, pinch_runs(knot)).knots()
         if len(knots) != 2 * n + 1:
             violations.append({"member": str(fid), "pinch_number": len(knots) - 1,
                                "expected": 2 * n})

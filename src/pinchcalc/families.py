@@ -7,7 +7,7 @@ J_n to K_{n-2}.
 
 from dataclasses import dataclass
 
-from .pinch import TorusKnotParams, pinch_move, pinch_runs
+from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_runs
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
     """Scan the pinch sequences of K_1..K_max_n for visits to other members.
 
     Returns the offending (m, n) pairs, empty when no sequence starting at
-    some K_m passes through a different K_n.  The knots a run visits are
-    read off its start and stride, without building its moves.
+    some K_m passes through a different K_n.  Each chain is read as the
+    (p, q) pairs of PinchSequence.knots(), so every run is checked once.
     """
     if max_n < 1:
         raise ValueError(f"needs max_n >= 1, got {max_n}")
@@ -88,12 +88,9 @@ def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
         members[k.p, k.q] = n
     violations = []
     for m in range(1, max_n + 1):
-        for run in pinch_runs(family_knot(FamilyId("K", m))):
-            p, q = run.start.p, run.start.q
-            dp, dq = run.stride
-            for _ in range(run.count):
-                p, q = p - dp, q - dq
-                hit = members.get((p, q) if p <= q else (q, p))
-                if hit is not None and hit != m:
-                    violations.append((m, hit))
+        knot = family_knot(FamilyId("K", m))
+        for p, q in PinchSequence(knot, pinch_runs(knot)).knots():
+            hit = members.get((p, q) if p <= q else (q, p))
+            if hit is not None and hit != m:
+                violations.append((m, hit))
     return violations

@@ -182,9 +182,10 @@ class PinchSequence:
     def steps(self) -> tuple[PinchStep, ...]:
         return tuple(step for run in self.runs for step in run.steps())
 
-    def knots(self) -> list[TorusKnotParams]:
-        """Every knot visited, start first and the terminal unknot last."""
-        return [self.start] + [s.target for s in self.steps]
+    def knots(self) -> list[tuple[int, int]]:
+        """Every knot visited as (p, q), start first and the terminal unknot last."""
+        return [(self.start.p, self.start.q)] + [
+            (c, d) for run in self.runs for _, _, _, _, c, d in run.rows()]
 
     @property
     def signs(self) -> tuple[int, ...]:

@@ -84,6 +84,17 @@ def mismatch_k_1_row(monkeypatch):
     monkeypatch.setitem(cli.REFERENCE_ROWS_K, 1, [(4, 9), (2, 5), (0, 3)])
 
 
+def k_2_pinches_twice(module):
+    """A patch making module's K_2 the knot T(8, 27), of pinch number 2, not 4."""
+    def patch(monkeypatch):
+        real = module.family_knot
+        monkeypatch.setattr(
+            module, "family_knot",
+            lambda fid: TorusKnotParams(8, 27) if str(fid) == "K_2" else real(fid),
+        )
+    return patch
+
+
 def no_patch(monkeypatch):
     pass
 
@@ -303,6 +314,27 @@ GOLDEN = [
         "", id="closed-form-violation-text",
     ),
     pytest.param(
+        ["verify", "all", "--max-n", "2", "--json"], k_2_pinches_twice(cli), 1,
+        doc("verify", '"mode":"all","max_n":2',
+            f"{TABLES},"
+            '"closed_form":{"checked":2,"violations":['
+            '{"member":"K_2","pinch_number":2,"expected":4}]},'
+            '"j_to_k":{"checked":1,"violations":[]},'
+            '"k_independence":{"checked":2,"violations":[]},'
+            '"reports":{"checked":3,"violations":[]}', "violation"),
+        "", id="pinch-number-violation",
+    ),
+    pytest.param(
+        ["verify", "all", "--max-n", "2"], k_2_pinches_twice(cli), 1,
+        "K: 5/5 rows match, J: 4/4 rows match\n"
+        "pinch numbers and closed form: 2 sequences checked, 1 violations (n <= 2)\n"
+        "four pinches J_n -> K_(n-2): 1 checked, 0 violations\n"
+        "K sequences avoid other K members: m, n <= 2, 0 collisions\n"
+        "counterexample reports: 3 certified, 0 violations\n"
+        "status: violation\n",
+        "", id="pinch-number-violation-text",
+    ),
+    pytest.param(
         ["verify", "all", "--max-n", "5", "--json"], reject_slice, 1,
         doc("verify", '"mode":"all","max_n":5',
             f"{TABLES},{CLOSED_FORM_OK},{COROLLARIES},"
@@ -367,6 +399,16 @@ GOLDEN = [
         ["report", "K", "2", "--json"], reject_slice, 1,
         doc("report", "", f'"violation":"{SLICE_VIOLATION_K_2}"', "violation"),
         f"pinchcalc: {SLICE_VIOLATION_K_2}\n", id="report-violation",
+    ),
+    pytest.param(
+        ["report", "K", "2", "--json"], k_2_pinches_twice(criteria), 1,
+        doc("report", "", '"violation":"K_2: pinch number 2, expected 4"', "violation"),
+        "pinchcalc: K_2: pinch number 2, expected 4\n", id="report-pinch-violation",
+    ),
+    pytest.param(
+        ["report", "K", "2"], k_2_pinches_twice(criteria), 1,
+        "", "pinchcalc: K_2: pinch number 2, expected 4\n",
+        id="report-pinch-violation-text",
     ),
 ]
 

@@ -12,7 +12,13 @@ from pinchcalc.families import (
     verify_j_to_k,
     verify_k_independence,
 )
-from pinchcalc.pinch import TorusKnotParams, pinch_move, pinch_runs, pinch_sequence
+from pinchcalc.pinch import (
+    PinchRun,
+    TorusKnotParams,
+    pinch_move,
+    pinch_runs,
+    pinch_sequence,
+)
 
 
 class TestFamilyId:
@@ -72,7 +78,8 @@ class TestClosedForm:
             for n in range(lo, 30):
                 knots = pinch_sequence(family_knot(FamilyId(fam, n))).knots()
                 for k in range(2 * n + 1):
-                    assert closed_form_step(n, eps, k).same_knot(knots[k])
+                    formula = closed_form_step(n, eps, k)
+                    assert formula.same_knot(TorusKnotParams(*knots[k]))
 
     def test_stepwise_agreement(self):
         # pinching the closed form at k gives the closed form at k+1
@@ -142,6 +149,13 @@ class TestKIndependence:
 
         monkeypatch.setattr(families, "family_knot", fake)
         assert verify_k_independence(5) == [(3, 1)]
+
+    def test_checks_each_run(self, monkeypatch):
+        # (1, 1) are not witnesses of T(4, 9): ph - qt = -5, so rows() refuses
+        bad = (PinchRun(TorusKnotParams(4, 9), 1, 1, 1, 1),)
+        monkeypatch.setattr(families, "pinch_runs", lambda k: bad)
+        with pytest.raises(RuntimeError):
+            verify_k_independence(3)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
