@@ -12,12 +12,17 @@ same lines exactly when their outputs are identical:
 
     diff <(PYTHONPATH=old/src python3 scripts/cli_digests.py) \\
          <(PYTHONPATH=src python3 scripts/cli_digests.py)
+
+Compare two checkouts under one interpreter: argparse words its usage
+errors differently from one Python patch release to another, so the
+verify digest depends on the interpreter.  The first line names it.
 """
 
 import argparse
 import hashlib
 import io
 import os
+import platform
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
@@ -87,6 +92,7 @@ def main() -> None:
     os.environ["COLUMNS"] = "80"
     digests = {command: hashlib.sha256() for command in COMMANDS}
     counts = dict.fromkeys(COMMANDS, 0)
+    print(f"python {platform.python_version()}")
     for command, argv in invocations():
         for form in (argv, [*argv, "--json"]):
             code, out, err = run(form)

@@ -83,8 +83,53 @@ def _document(command, inputs, results, status):
     }
 
 
+class JSONText:
+    """A value of a document's results given as JSON text, in chunks.
+
+    to_json writes the chunks verbatim, in order, in the value's place when
+    the value sits directly in the results dict; anywhere else it has no
+    JSON form.  The chunks are drawn only then, so a handler can return one
+    built from a generator and pay for it only when the document is encoded
+    (a generator is drawn once, so such a document is encoded once).
+    """
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"), default=_json_value)
+
+
+def _object_chunks(mapping: dict) -> list[str]:
+    """mapping as JSON object text, in chunks: json.dumps on each key and on
+    each value, except that a JSONText value is written verbatim."""
+    chunks = ["{"]
+    for i, (key, value) in enumerate(mapping.items()):
+        chunks.append(f"{',' if i else ''}{_dumps(key)}:")
+        if isinstance(value, JSONText):
+            chunks += value.chunks
+        else:
+            chunks.append(_dumps(value))
+    chunks.append("}")
+    return chunks
+
+
 def to_json(doc: dict) -> str:
-    return json.dumps(doc, separators=(",", ":"), default=_json_value)
+    """doc as compact JSON text.
+
+    A document whose results hold no JSONText value takes one json.dumps
+    call.  Otherwise each JSONText value of doc["results"] is written
+    verbatim in its place, and the document is joined from its parts, with
+    json.dumps on each key and on each other value.
+    """
+    results = doc["results"]
+    if not any(isinstance(value, JSONText) for value in results.values()):
+        return _dumps(doc)
+    parts = {**doc, "results": JSONText(_object_chunks(results))}
+    return "".join(_object_chunks(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +148,34 @@ def run_pinch_move(p, q):
 
 def run_pinch_seq(p, q):
     start = TorusKnotParams(p, q)
-    # the chain is expanded and checked here; the text is only formatted
-    steps = [
-        {"from": [a, b], "to": [c, d], "t": t, "h": h, "sign": sign}
-        for run in pinch_runs(start) for sign in [fmt_sign(run.sign)]
-        for a, b, t, h, c, d in run.rows()
-    ]
-    results = {"start": start, "steps": steps, "pinch_number": len(steps)}
+    seq = PinchSequence(start, pinch_runs(start))
+
+    # each form expands the runs only when it prints, and converts each
+    # visited knot to decimal once: as one move's target and the next's source
+    def steps_json():
+        yield "["
+        source, sep = f"{start.p},{start.q}", ""
+        for run in seq.runs:
+            sign = fmt_sign(run.sign)
+            for _, _, t, h, c, d in run.rows():
+                target = f"{c},{d}"
+                yield (f'{sep}{{"from":[{source}],"to":[{target}],'
+                       f'"t":{t},"h":{h},"sign":"{sign}"}}')
+                source, sep = target, ","
+        yield "]"
 
     def text():
-        for s in steps:
-            source, target = "({},{})".format(*s["from"]), "({},{})".format(*s["to"])
-            yield (f"{source:>10} -> {target:<10} "
-                   f"t={s['t']:<6} h={s['h']:<6} sign={s['sign']}")
-        yield f"pinch number: {len(steps)}"
+        source = f"({start.p},{start.q})"
+        for run in seq.runs:
+            sign = fmt_sign(run.sign)
+            for _, _, t, h, c, d in run.rows():
+                target = f"({c},{d})"
+                yield f"{source:>10} -> {target:<10} t={t:<6} h={h:<6} sign={sign}"
+                source = target
+        yield f"pinch number: {seq.pinch_number}"
 
+    results = {"start": start, "steps": JSONText(steps_json()),
+               "pinch_number": seq.pinch_number}
     return results, text(), "ok"
 
 
@@ -447,6 +505,13 @@ def cli_main(argv=None) -> int:
     quiet = inputs.pop("quiet", False)
     try:
         results, text, status = COMMANDS[command][0](**inputs)
+        # the whole output is built before any of it prints, also under
+        # --quiet, so a fault or exhausted memory while building it prints
+        # no part of it and gives the exit code it gives without --quiet
+        if as_json:
+            out = to_json(_document(command, inputs, results, status))
+        else:
+            out = "\n".join(text)
     except (ValueError, RuntimeError, MemoryError) as exc:
         # a failed theorem check is a violation (1), bad input or exhausted
         # memory an error (2), and any other runtime error an internal bug (3)
@@ -463,11 +528,7 @@ def cli_main(argv=None) -> int:
         return code
 
     if not quiet:
-        if as_json:
-            print(to_json(_document(command, inputs, results, status)))
-        else:
-            for line in text:
-                print(line)
+        print(out)
     return 0 if status == "ok" else 1
 
 

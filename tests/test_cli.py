@@ -216,6 +216,15 @@ GOLDEN = [
         "", id="pinch-seq-two-runs-text",
     ),
     pytest.param(
+        ["pinch-seq", "1", "5", "--json"], no_patch, 0,
+        doc("pinch-seq", '"p":1,"q":5', '"start":[1,5],"steps":[],"pinch_number":0'),
+        "", id="pinch-seq-unknot",
+    ),
+    pytest.param(
+        ["pinch-seq", "1", "5"], no_patch, 0, "pinch number: 0\n", "",
+        id="pinch-seq-unknot-text",
+    ),
+    pytest.param(
         ["pinch-number", "20", "81"], no_patch, 0, "10\n", "", id="pinch-number-text",
     ),
     pytest.param(
@@ -582,21 +591,28 @@ class TestSubprocessHarness:
         assert results["pinch_number"] == results["jvc_negative_count"] == 2 * n
         assert results["band_count"] == 2 * n - 1
 
-    @pytest.mark.parametrize("form", [["--json"], []], ids=["json", "text"])
-    def test_out_of_memory_is_an_error(self, form):
-        # 5 * 10^17 printed signs cannot be held: an error (2), not a
-        # violation (1).  The address-space cap keeps the attempt small
+    @pytest.mark.parametrize("command, cap_mib, form", [
+        ("jvc", 1024, ["--json"]),
+        ("jvc", 1024, []),
+        # each move is a line of text; the smaller cap keeps the attempt near 2 s
+        ("pinch-seq", 128, ["--json"]),
+        ("pinch-seq", 128, []),
+    ], ids=["json", "text", "pinch-seq-json", "pinch-seq-text"])
+    def test_out_of_memory_is_an_error(self, command, cap_mib, form):
+        # 5 * 10^17 printed signs or moves cannot be held: an error (2), not
+        # a violation (1), and no output but the message and, with --json,
+        # the error document.  The address-space cap keeps the attempt small
         resource = pytest.importorskip("resource")
-        cap, p = (1 << 30, 1 << 30), 10**18
+        cap, p = (cap_mib << 20, cap_mib << 20), 10**18
         proc = subprocess.run(
-            [sys.executable, "-m", "pinchcalc", "jvc", str(p), str(p + 1), *form],
+            [sys.executable, "-m", "pinchcalc", command, str(p), str(p + 1), *form],
             capture_output=True, text=True, env=self.env, timeout=10,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
         )
         assert proc.returncode == 2
         assert proc.stderr == "pinchcalc: out of memory\n"
         if form:
-            assert proc.stdout == doc("jvc", "", '"error":"out of memory"', "error")
+            assert proc.stdout == doc(command, "", '"error":"out of memory"', "error")
         else:
             assert proc.stdout == ""
 

@@ -281,6 +281,8 @@ class TestPinchRuns:
         assert len(runs) <= iteration_cap(k)
 
     @given(big_pairs)
+    @example((0, 1))
+    @example((1, 5))
     @example((16, 21))
     @example((2**256 - 1, 2**256))
     def test_rows_and_pinch_seq_match_the_step_chain(self, pq):
@@ -296,11 +298,18 @@ class TestPinchRuns:
             out = io.StringIO()
             with redirect_stdout(out):
                 assert cli_main(["pinch-seq", *map(str, pq), "--json"]) == 0
-            assert json.loads(out.getvalue())["results"]["steps"] == [
+            steps = [
                 {"from": [s.source.p, s.source.q], "to": [s.target.p, s.target.q],
                  "t": s.t, "h": s.h, "sign": "+" if s.sign > 0 else "-"}
                 for s in oracle
             ]
+            # every byte: the steps are written as JSON text, not by json.dumps
+            doc = {"schema_version": "1", "command": "pinch-seq",
+                   "inputs": {"p": k.p, "q": k.q},
+                   "results": {"start": [k.p, k.q], "steps": steps,
+                               "pinch_number": len(steps)},
+                   "status": "ok"}
+            assert out.getvalue() == json.dumps(doc, separators=(",", ":")) + "\n"
 
     @given(big_pairs)
     @example((2**256 - 1, 2**256))
