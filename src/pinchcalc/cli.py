@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .criteria import TheoremViolationError, counterexample_report, jvc_criterion
@@ -242,24 +243,40 @@ def run_tangle_apply(a, b, c, d, num, den):
     return results, [fmt_fraction(image)], "ok"
 
 
+def _repeat(text: str, count: int) -> str:
+    """text repeated count times.  A length past the address space raises
+    OverflowError, not MemoryError; both mean the result cannot be held."""
+    try:
+        return text * count
+    except OverflowError:
+        raise MemoryError from None
+
+
 def run_jvc(p, q):
     verdict = jvc_criterion(TorusKnotParams(p, q))
-    signs: list[str] = []
-    for run in verdict.runs:
-        signs += [fmt_sign(run.sign)] * run.count
+
+    # per run its first sign, then one repeated chunk of ",s" for the rest
+    def signs(quote):
+        sep = ""
+        for run in verdict.runs:
+            sign = f"{quote}{fmt_sign(run.sign)}{quote}"
+            yield sep + sign
+            yield _repeat("," + sign, run.count - 1)
+            sep = ","
+
+    def text():
+        yield f"sign sequence: [{''.join(signs(''))}]"
+        yield f"negative count: {verdict.negative_count}"
+        yield (f"lower bound reaches pinch number - 1: "
+               f"{_yesno(verdict.equals_pinch_minus_one)}")
+
     results = {
         "knot": verdict.start,
-        "signs": signs,
+        "signs": JSONText(chain("[", signs('"'), "]")),
         "negative_count": verdict.negative_count,
         "equals_pinch_minus_one": verdict.equals_pinch_minus_one,
     }
-    text = [
-        f"sign sequence: [{','.join(signs)}]",
-        f"negative count: {verdict.negative_count}",
-        f"lower bound reaches pinch number - 1: "
-        f"{_yesno(verdict.equals_pinch_minus_one)}",
-    ]
-    return results, text, "ok"
+    return results, text(), "ok"
 
 
 def run_report(family, n):

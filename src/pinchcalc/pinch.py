@@ -6,6 +6,24 @@ Iterating always reaches the unknot, and the number of moves needed is the
 pinch number of the knot.  The chain falls into a few runs of moves that
 each subtract one fixed pair from (p, q); pinch_runs finds them with one
 modular inverse per chain, plus a division by the current knot per run.
+
+The pinch number alone needs no moves.  Every coprime p/q other than 0/1
+and 1/0 is the mediant L (+) R of its parents in the Stern-Brocot tree,
+L = a/b < R = c/d with bc - ad = 1.  Then (a, b) are the least witnesses of
+T(p, q), and its move lands on (|c - a|, |d - b|): the other parent of its
+younger parent.  Stepping from Y = L (+) R to the child L (+) Y replaces R
+by Y, and to Y (+) R replaces L, so a knotted child's pinch number is
+
+    N(child) = 1 + N(the parent of Y that the child does not have).
+
+swept_pinch_numbers applies this to every node of a walk.  pinch_number
+applies it a block at a time along the path of p/q = [a0; a1, ..., am],
+which is R^a0 L^a1 R^a2 ... with am - 1 steps in the last block.  Within a
+block one side stays fixed and the other side S is replaced at each step,
+so the nodes get 1 + N_S, 1 + N_Y, 2 + N_S, 2 + N_Y, ...: m steps make
+N_Y = ceil(m/2) + (N_S if m is odd, else N_Y), and the replaced side
+N_S = floor(m/2) + (N_Y if m is odd, else N_S).  The first nonempty block
+runs along the unknots j/1 or 1/j, so it leaves all three at 0.
 """
 
 from collections.abc import Iterator
@@ -85,37 +103,43 @@ class PinchStep:
 
 
 class PinchRun(NamedTuple):
-    """count consecutive pinch moves of one sign, the first from start.
+    """count consecutive pinch moves of one sign, the first from T(p, q).
 
-    (t, h) are the witnesses of the first move.  A positive run keeps them
-    on every move, since (p - 2t)h - (q - 2h)t = ph - qt; a negative run
-    keeps their complement (u, v) = (p - t, q - h) instead, so its move j
-    has witnesses (p_j - u, q_j - v).  Either way each move subtracts the
-    same stride from (p, q).
+    Plain ints: (p, q) is the start knot and (t, h) the witnesses of the
+    first move.  A positive run keeps them on every move, since
+    (p - 2t)h - (q - 2h)t = ph - qt; a negative run keeps their complement
+    (u, v) = (p - t, q - h) instead, so its move j has witnesses
+    (p_j - u, q_j - v).  Either way each move subtracts the same stride
+    from (p, q).  start and end build their knot only when read.
 
     A NamedTuple rather than a frozen dataclass: defining one costs a
     tenth as much at import, which every command line start pays.
     """
 
-    start: TorusKnotParams
+    p: int
+    q: int
     t: int
     h: int
     count: int
     sign: int
 
     @property
+    def start(self) -> TorusKnotParams:
+        """The knot the run's first move leaves."""
+        return TorusKnotParams(self.p, self.q)
+
+    @property
     def stride(self) -> tuple[int, int]:
         """What each move subtracts: (2t, 2h) if positive, (2u, 2v) if negative."""
         if self.sign > 0:
             return 2 * self.t, 2 * self.h
-        return 2 * (self.start.p - self.t), 2 * (self.start.q - self.h)
+        return 2 * (self.p - self.t), 2 * (self.q - self.h)
 
     @property
     def end(self) -> TorusKnotParams:
         """The knot the run's last move reaches."""
         dp, dq = self.stride
-        return TorusKnotParams(self.start.p - self.count * dp,
-                               self.start.q - self.count * dq)
+        return TorusKnotParams(self.p - self.count * dp, self.q - self.count * dq)
 
     def rows(self) -> Iterator[tuple[int, int, int, int, int, int]]:
         """The run's moves as plain ints (p, q, t, h, p', q'): source, witnesses,
@@ -134,7 +158,7 @@ class PinchRun(NamedTuple):
         catch every run that a gcd per move would.
         """
         dp, dq = self.stride
-        p, q, t, h = self.start.p, self.start.q, self.t, self.h
+        p, q, t, h = self.p, self.q, self.t, self.h
         if p * h - q * t != 1 or min(p - self.count * dp, q - self.count * dq) < 0:
             raise RuntimeError(
                 f"T({p},{q}): ({t}, {h}) do not start a run of {self.count} moves")
@@ -249,24 +273,25 @@ def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
     complement (-u, -v) = (t - p, h - q) is one, since pv - qu = -1 and each
     move subtracts a multiple of (u, v).
 
+    Builds no knot: each run start is carried as plain ints, and the check
+    below, 0 < t < p, 0 < h < q and ph - qt = 1, is what proves it coprime.
     Empty when k is already unknotted.  Raises RuntimeError when a run's
-    witnesses break 1 <= t < p, 1 <= h < q, ph - qt = 1, which certifies
-    each carried pair as the least witnesses, and IterationCapError when the
-    moves pass the iteration cap.
+    witnesses break that check, which also certifies each carried pair as
+    the least witnesses, and IterationCapError when the moves pass the
+    iteration cap.
     """
     runs: list[PinchRun] = []
     cap = iteration_cap(k)
     total = 0
-    cur = k
-    while not cur.is_unknot():
-        p, q = cur.p, cur.q
+    p, q = k.p, k.q
+    while p > 1 and q > 1:
         if runs:
             j = t // p
             t, h = t - j * p, h - j * q
         else:
             t, h = pinch_witnesses(p, q)
         if not (0 < t < p and 0 < h < q and p * h - q * t == 1):
-            raise RuntimeError(f"T{cur}: ({t}, {h}) are not its pinch witnesses")
+            raise RuntimeError(f"T({p},{q}): ({t}, {h}) are not its pinch witnesses")
         if p > 2 * t:
             # (p_j, q_j) = (p - 2jt, q - 2jh) moves positively while p_j > 2t
             sign, count = 1, (p - 1) // (2 * t)
@@ -274,16 +299,17 @@ def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
             # (p_j, q_j) = (p - 2ju, q - 2jv) moves negatively while p_j >= 2u
             sign, count = -1, p // (2 * (p - t))
         if count < 1:
-            raise RuntimeError(f"T{cur}: witnesses ({t}, {h}) start an empty run")
+            raise RuntimeError(f"T({p},{q}): witnesses ({t}, {h}) start an empty run")
         total += count
         if total > cap:
             raise IterationCapError(f"T{k} still nontrivial after {cap} pinches")
-        run = PinchRun(cur, t, h, count, sign)
+        run = PinchRun(p, q, t, h, count, sign)
         runs.append(run)
-        cur = run.end
         if sign < 0:
             # carry the negated complement (-u, -v) to the next run
             t, h = t - p, h - q
+        dp, dq = run.stride
+        p, q = p - count * dp, q - count * dq
     return tuple(runs)
 
 
@@ -297,8 +323,35 @@ def pinch_sequence(k: TorusKnotParams) -> PinchSequence:
 
 
 def pinch_number(k: TorusKnotParams) -> int:
-    """The number of pinch moves from k to the unknot; 0 for unknots."""
-    return sum(run.count for run in pinch_runs(k))
+    """The number of pinch moves from k to the unknot; 0 for unknots.
+
+    One Euclid expansion: a divmod per partial quotient of p/q, each block
+    of the Stern-Brocot path taken at once by the rule in the module
+    docstring, with no modular inverse and no runs.  Raises
+    IterationCapError when the count passes the iteration cap.
+    """
+    if k.is_unknot():
+        return 0
+    # pinch numbers are swap invariant.  With p > q the first block, a0
+    # steps right along the unknots j/1, leaves every pinch number at 0
+    p, q = max(k.p, k.q), min(k.p, k.q)
+    p, q = q, p % q
+    # side: the side the next block replaces; other: the side it keeps
+    n = side = other = 0
+    while q:
+        m, r = divmod(p, q)
+        if not r:
+            m -= 1  # the last block has one step fewer
+        p, q = q, r
+        half = m >> 1
+        n, side = n + half, side + half
+        if m & 1:
+            n, side = side + 1, n
+        # the next block steps the other way, replacing the side this one kept
+        side, other = other, side
+    if n > iteration_cap(k):
+        raise IterationCapError(f"T{k} has pinch number {n}, over its cap")
+    return n
 
 
 # the largest limit sweep_termination takes; it bounds the work, about
@@ -309,13 +362,12 @@ SWEEP_MAX_LIMIT = 23169
 def swept_pinch_numbers(limit: int) -> Iterator[tuple[int, int, int]]:
     """(p, q, pinch number) for every coprime 2 <= p < q <= limit, by additions.
 
-    A walk of the Stern-Brocot tree of (0, 1).  If p/q = a/b (+) c/d with
-    bc - ad = 1, then (a, b) are the least witnesses of T(p, q), and its move
-    lands on (|c - a|, |d - b|), the other parent of its younger parent.  So
-    the child a/b (+) p/q has pinch number 1 + N(c/d), and p/q (+) c/d has
-    1 + N(a/b).  A stack entry (a, b, N_a, c, d, N_c, g) is the mediant of
-    a/b and c/d, whose pinch number g its parent worked out.  Each 1/q is an
-    unknot; the other nodes lie once each in the right subtrees of the 1/q.
+    A walk of the Stern-Brocot tree of (0, 1), by the recurrence of the
+    module docstring: if p/q = a/b (+) c/d, the child a/b (+) p/q has pinch
+    number 1 + N(c/d), and p/q (+) c/d has 1 + N(a/b).  A stack entry
+    (a, b, N_a, c, d, N_c, g) is the mediant of a/b and c/d, whose pinch
+    number g its parent worked out.  Each 1/q is an unknot; the other nodes
+    lie once each in the right subtrees of the 1/q.
     Raises RuntimeError when the witnesses of a node with q == limit differ
     from pinch_witnesses.
     """

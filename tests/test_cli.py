@@ -591,19 +591,23 @@ class TestSubprocessHarness:
         assert results["pinch_number"] == results["jvc_negative_count"] == 2 * n
         assert results["band_count"] == 2 * n - 1
 
-    @pytest.mark.parametrize("command, cap_mib, form", [
-        ("jvc", 1024, ["--json"]),
-        ("jvc", 1024, []),
+    @pytest.mark.parametrize("command, cap_mib, form, p", [
+        ("jvc", 1024, ["--json"], 10**18),
+        ("jvc", 1024, [], 10**18),
         # each move is a line of text; the smaller cap keeps the attempt near 2 s
-        ("pinch-seq", 128, ["--json"]),
-        ("pinch-seq", 128, []),
-    ], ids=["json", "text", "pinch-seq-json", "pinch-seq-text"])
-    def test_out_of_memory_is_an_error(self, command, cap_mib, form):
+        ("pinch-seq", 128, ["--json"], 10**18),
+        ("pinch-seq", 128, [], 10**18),
+        # 5 * 10^19 signs: more than a string can even address
+        ("jvc", 1024, ["--json"], 10**20),
+        ("jvc", 1024, [], 10**20),
+    ], ids=["json", "text", "pinch-seq-json", "pinch-seq-text",
+            "jvc-past-index-json", "jvc-past-index-text"])
+    def test_out_of_memory_is_an_error(self, command, cap_mib, form, p):
         # 5 * 10^17 printed signs or moves cannot be held: an error (2), not
         # a violation (1), and no output but the message and, with --json,
         # the error document.  The address-space cap keeps the attempt small
         resource = pytest.importorskip("resource")
-        cap, p = (cap_mib << 20, cap_mib << 20), 10**18
+        cap = (cap_mib << 20, cap_mib << 20)
         proc = subprocess.run(
             [sys.executable, "-m", "pinchcalc", command, str(p), str(p + 1), *form],
             capture_output=True, text=True, env=self.env, timeout=10,
@@ -693,9 +697,9 @@ class TestSubprocessHarness:
         ("pinch.pinch_witnesses = lambda p, q: (0, 0)",
          "pinch_runs(TorusKnotParams(4, 9))"),
         # not the witnesses of T(4, 9): its one move lands on T(0, 3)
-        ("", "list(PinchRun(TorusKnotParams(4, 9), 2, 3, 1, 1).rows())"),
+        ("", "list(PinchRun(4, 9, 2, 3, 1, 1).rows())"),
         # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
-        ("", "list(PinchRun(TorusKnotParams(4, 9), 1, 1, 1, 1).rows())"),
+        ("", "list(PinchRun(4, 9, 1, 1, 1, 1).rows())"),
     ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "pinch-move-sign",
             "pinch-runs-witnesses", "run-rows-coprime", "run-rows-witnesses"])
     def test_broken_invariant_raises_under_O(self, patch, call):

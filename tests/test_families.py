@@ -152,7 +152,7 @@ class TestKIndependence:
 
     def test_checks_each_run(self, monkeypatch):
         # (1, 1) are not witnesses of T(4, 9): ph - qt = -5, so rows() refuses
-        bad = (PinchRun(TorusKnotParams(4, 9), 1, 1, 1, 1),)
+        bad = (PinchRun(4, 9, 1, 1, 1, 1),)
         monkeypatch.setattr(families, "pinch_runs", lambda k: bad)
         with pytest.raises(RuntimeError):
             verify_k_independence(3)

@@ -68,9 +68,14 @@ def per_run_runs(k):
             sign, count = 1, (k.p - 1) // (2 * t)
         else:
             sign, count = -1, k.p // (2 * (k.p - t))
-        runs.append(PinchRun(k, t, h, count, sign))
+        runs.append(PinchRun(k.p, k.q, t, h, count, sign))
         k = runs[-1].end
     return tuple(runs)
+
+
+def run_count(k):
+    """Run engine oracle: the pinch number as the sum of the run counts."""
+    return sum(run.count for run in pinch_runs(k))
 
 
 def wide_pairs(bits, count, seed):
@@ -252,13 +257,14 @@ class TestPinchSequence:
 class TestPinchRuns:
     def test_examples(self):
         k = TorusKnotParams(4, 9)
-        assert pinch_runs(k) == (PinchRun(k, 3, 7, 2, -1),)
-        assert pinch_runs(k.swap()) == (PinchRun(k.swap(), 2, 1, 2, 1),)
+        assert pinch_runs(k) == (PinchRun(4, 9, 3, 7, 2, -1),)
+        assert pinch_runs(k.swap()) == (PinchRun(9, 4, 2, 1, 2, 1),)
         assert pinch_runs(TorusKnotParams(1, 0)) == ()
         # (16,21) -> (10,13) -> (4,5) keeps (3, 4); (4,5) -> (2,3) -> (0,1)
         # keeps the complement (1, 1)
-        a, b = TorusKnotParams(16, 21), TorusKnotParams(4, 5)
-        assert pinch_runs(a) == (PinchRun(a, 3, 4, 2, 1), PinchRun(b, 3, 4, 2, -1))
+        a = TorusKnotParams(16, 21)
+        assert pinch_runs(a) == (
+            PinchRun(16, 21, 3, 4, 2, 1), PinchRun(4, 5, 3, 4, 2, -1))
         assert [(s.t, s.h) for s in pinch_sequence(a).steps] == [
             (3, 4), (3, 4), (3, 4), (1, 2),
         ]
@@ -330,6 +336,20 @@ class TestPinchRuns:
         assert len(pinch_runs(TorusKnotParams(*pq))) >= 2
         assert calls == [pq]
 
+    def test_builds_no_knot_after_the_start(self, monkeypatch):
+        built = []
+        check = TorusKnotParams.__post_init__
+
+        def counted(knot):
+            built.append((knot.p, knot.q))
+            check(knot)
+
+        monkeypatch.setattr(TorusKnotParams, "__post_init__", counted)
+        pq = wide_pairs(4096, 1, seed=1)[0]
+        assert len(pinch_runs(TorusKnotParams(*pq))) >= 2
+        # the one knot is the caller's start
+        assert built == [pq]
+
     @pytest.mark.parametrize("pq", [(1, 0), (0, 1), (7, 1), (1, 2**4096)])
     def test_no_inverse_on_an_unknot(self, monkeypatch, pq):
         calls = count_witness_calls(monkeypatch)
@@ -339,10 +359,10 @@ class TestPinchRuns:
     def test_rows_check_the_run_once(self):
         # T(4, 9) -> T(2, 7) is coprime, but (1, 1) are not its witnesses
         with pytest.raises(RuntimeError, match="do not start a run of 1 moves"):
-            next(PinchRun(TorusKnotParams(4, 9), 1, 1, 1, 1).rows())
+            next(PinchRun(4, 9, 1, 1, 1, 1).rows())
         # the witnesses of T(3, 5), but its one positive move reaches T(1, 1)
         with pytest.raises(RuntimeError, match="do not start a run of 2 moves"):
-            next(PinchRun(TorusKnotParams(3, 5), 1, 2, 2, 1).rows())
+            next(PinchRun(3, 5, 1, 2, 2, 1).rows())
 
     @given(big_pairs)
     def test_swap_symmetry(self, pq):
@@ -365,6 +385,37 @@ class TestPinchRuns:
         assert (run.start, run.count, run.sign) == (k, 2 * n, -1)
         assert run.end == TorusKnotParams(0, 1)
         assert pinch_number(k) == 2 * n
+
+
+class TestPinchNumber:
+    @given(big_pairs)
+    @example((0, 1))
+    @example((1, 0))
+    @example((1, 2**256))
+    @example((2**256, 1))
+    @example((4 * 10**12, (2 * 10**12 + 1) ** 2))  # K_n
+    @example((4 * 10**12, (2 * 10**12 - 1) ** 2))  # J_n
+    @example((10**18, 10**18 + 1))
+    @example((2**256 - 1, 2**256))
+    def test_euclid_path_matches_the_run_engine(self, pq):
+        k = TorusKnotParams(*pq)
+        assert pinch_number(k) == pinch_number(k.swap()) == run_count(k)
+
+    @given(coprime_pairs)
+    @example((1, 7))
+    @example((7, 1))
+    @example((2, 3))
+    def test_euclid_path_matches_the_step_oracle(self, pq):
+        k = TorusKnotParams(*pq)
+        assert pinch_number(k) == len(move_chain(k, iteration_cap(k)))
+
+    @pytest.mark.parametrize("pq", [wide_pairs(4096, 1, seed=1)[0], (16, 21), (0, 1)],
+                             ids=["4096-bit", "T(16,21)", "unknot"])
+    def test_no_inverse(self, monkeypatch, pq):
+        k = TorusKnotParams(*pq)
+        calls = count_witness_calls(monkeypatch)
+        pinch_number(k)
+        assert calls == []
 
 
 class TestSweep:
@@ -401,7 +452,7 @@ class TestSweep:
         column = [(p, n) for p, q, n in swept_pinch_numbers(limit) if q == limit]
         assert sorted(p for p, _ in column) == [
             p for p in range(2, limit) if gcd(p, limit) == 1]
-        assert all(n == pinch_number(TorusKnotParams(p, limit)) for p, n in column)
+        assert all(n == run_count(TorusKnotParams(p, limit)) for p, n in column)
 
     def test_negative_limits_sweep_nothing(self):
         assert sweep_termination(-1) == sweep_termination(-10**9) == (0, [])
