@@ -550,4 +550,12 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early (`| head`) ends the process by
+    # SIGPIPE, as it ends other filters, not by a BrokenPipeError traceback
+    # and exit 1.  Only the command line process takes this handler: code
+    # that calls cli_main keeps its own, and does not import signal
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(cli_main(sys.argv[1:]))

@@ -110,7 +110,7 @@ class PinchRun(NamedTuple):
     (p - 2t)h - (q - 2h)t = ph - qt; a negative run keeps their complement
     (u, v) = (p - t, q - h) instead, so its move j has witnesses
     (p_j - u, q_j - v).  Either way each move subtracts the same stride
-    from (p, q).  start and end build their knot only when read.
+    from (p, q), and rows() is the one walk over the run's moves.
 
     A NamedTuple rather than a frozen dataclass: defining one costs a
     tenth as much at import, which every command line start pays.
@@ -124,22 +124,11 @@ class PinchRun(NamedTuple):
     sign: int
 
     @property
-    def start(self) -> TorusKnotParams:
-        """The knot the run's first move leaves."""
-        return TorusKnotParams(self.p, self.q)
-
-    @property
     def stride(self) -> tuple[int, int]:
         """What each move subtracts: (2t, 2h) if positive, (2u, 2v) if negative."""
         if self.sign > 0:
             return 2 * self.t, 2 * self.h
         return 2 * (self.p - self.t), 2 * (self.q - self.h)
-
-    @property
-    def end(self) -> TorusKnotParams:
-        """The knot the run's last move reaches."""
-        dp, dq = self.stride
-        return TorusKnotParams(self.p - self.count * dp, self.q - self.count * dq)
 
     def rows(self) -> Iterator[tuple[int, int, int, int, int, int]]:
         """The run's moves as plain ints (p, q, t, h, p', q'): source, witnesses,
@@ -170,20 +159,13 @@ class PinchRun(NamedTuple):
             yield p, q, t, h, p2, q2
             p, q, t, h = p2, q2, t - dt, h - dh
 
-    def steps(self) -> Iterator[PinchStep]:
-        """The run's moves in order as PinchStep objects, one per row."""
-        source = self.start
-        for p, q, t, h, p2, q2 in self.rows():
-            target = TorusKnotParams(p2, q2)
-            yield PinchStep(source, target, t, h, p - 2 * t, q - 2 * h, self.sign)
-            source = target
-
 
 @dataclass(frozen=True)
 class PinchSequence:
     """The chain of pinch moves from start down to an unknot, held as its runs.
 
-    Counts are sums over the runs; steps, knots() and signs expand each move.
+    Counts are sums over the runs and cost O(runs); knots() and steps
+    expand each move from the rows of the runs.
     """
 
     start: TorusKnotParams
@@ -204,20 +186,20 @@ class PinchSequence:
 
     @property
     def steps(self) -> tuple[PinchStep, ...]:
-        return tuple(step for run in self.runs for step in run.steps())
+        """Every move as a PinchStep, from the rows; only the benchmark's
+        tracer (perfbench/spans.py) reads it, to count each chain's runs."""
+        steps, source = [], self.start
+        for run in self.runs:
+            for p, q, t, h, c, d in run.rows():
+                target = TorusKnotParams(c, d)
+                steps.append(PinchStep(source, target, t, h, p - 2 * t, q - 2 * h, run.sign))
+                source = target
+        return tuple(steps)
 
     def knots(self) -> list[tuple[int, int]]:
         """Every knot visited as (p, q), start first and the terminal unknot last."""
         return [(self.start.p, self.start.q)] + [
             (c, d) for run in self.runs for _, _, _, _, c, d in run.rows()]
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        """The sign of each move; a run too long to hold fails as it is allocated."""
-        signs: list[int] = []
-        for run in self.runs:
-            signs += [run.sign] * run.count
-        return tuple(signs)
 
 
 def pinch_witnesses(p: int, q: int) -> tuple[int, int]:
@@ -317,7 +299,7 @@ def pinch_sequence(k: TorusKnotParams) -> PinchSequence:
     """The unique chain of pinch moves from k to an unknot, as its runs.
 
     Empty when k is already unknotted.  Costs what pinch_runs costs; callers
-    that need each move as plain ints read PinchRun.rows instead of steps.
+    that need each move read PinchRun.rows, as plain ints.
     """
     return PinchSequence(k, pinch_runs(k))
 

@@ -143,10 +143,10 @@ def test_c07_signs_and_criterion():
     for eps, lo in ((1, 1), (-1, 2)):
         for n in range(lo, 101):
             k = TorusKnotParams(4 * n, (2 * n + eps) ** 2)
-            signs = sign_sequence(k).signs
-            ok &= len(signs) == 2 * n and all(s < 0 for s in signs)
-            swapped = sign_sequence(k.swap()).signs
-            ok &= len(swapped) == 2 * n and all(s > 0 for s in swapped)
+            seq = sign_sequence(k)
+            ok &= seq.pinch_number == 2 * n and all(r.sign < 0 for r in seq.runs)
+            swapped = sign_sequence(k.swap())
+            ok &= swapped.pinch_number == 2 * n and all(r.sign > 0 for r in swapped.runs)
             verdict = jvc_criterion(k)
             ok &= verdict.negative_count == 2 * n
             ok &= not verdict.equals_pinch_minus_one

@@ -2,15 +2,18 @@
 
 perfbench/spans.py wraps every public function of the pinchcalc modules
 and reads its metrics by name; a name that no longer resolves makes a
-traced run die with KeyError.  Tier-1 never runs a traced benchmark, so
-these tests read BENCHMARK.json and spans.py and check the names alone.
+traced run die with KeyError.  Most tests here read BENCHMARK.json and
+spans.py and check the names; one runs a few commands under the tracer,
+so its probes read the attributes of the pinch chain they need.
 """
 
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import pkgutil
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -44,10 +47,14 @@ def public_functions():
     return out
 
 
-def per_layer_calls():
+def per_layer_names():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [m["name"].removesuffix(".calls") for m in spec["per_layer"]
-            if m["name"].endswith(".calls")]
+    return [m["name"] for m in spec["per_layer"]]
+
+
+def per_layer_calls():
+    return [name.removesuffix(".calls") for name in per_layer_names()
+            if name.endswith(".calls")]
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +84,17 @@ def test_verify_sections_name_public_functions(spans, defined):
 
 def test_every_module_with_public_functions_is_traced(spans, defined):
     assert set(defined) <= set(spans.MODULES)
+
+
+def test_traced_commands_give_every_per_layer_metric(spans):
+    tracer = spans.Tracer(keep=0)
+    with tracer.installed(), redirect_stdout(io.StringIO()):
+        for argv in (["jvc", "8", "9"], ["report", "K", "2"],
+                     ["verify", "all", "--max-n", "3"], ["pinch-number", "16", "21"]):
+            assert cli.cli_main([*argv, "--json"]) == 0, argv
+    metrics = tracer.snapshot()
+    # perfbench/run.py adds trace.overhead_s from untraced rounds
+    missing = set(per_layer_names()) - {"trace.overhead_s"} - set(metrics)
+    assert not missing
+    # the chain probe read the moves of the jvc and report chains
+    assert metrics["pinch.moves_per_run"] > 0

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -644,6 +645,19 @@ class TestSubprocessHarness:
         assert doc["results"]["slice_cf"] == [-2, -4]
         assert doc["results"]["band_count"] == 3
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_pipe_ends_quietly(self, form):
+        # as `pinch-seq ... | head -c 100`: the reader closes the pipe on a
+        # 100,001-move chain.  SIGPIPE ends the child, with no traceback and
+        # no exit 1, which would read as a violation
+        argv = [sys.executable, "-m", "pinchcalc", "pinch-seq", "1000003", "2000001"]
+        with subprocess.Popen([*argv, *form], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=self.env) as proc:
+            proc.stdout.read(100)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=10), stderr) == (-signal.SIGPIPE, b"")
 
     @pytest.mark.parametrize("script, code, line", [
         (["termination_scan.py", "--limit", "60"], 0,

@@ -20,27 +20,31 @@ from pinchcalc.pinch import TorusKnotParams
 class TestSignSequence:
     def test_4_9(self):
         s = sign_sequence(TorusKnotParams(4, 9))
-        assert s.signs == (-1, -1)
+        assert [(r.sign, r.count) for r in s.runs] == [(-1, 2)]
         assert s.negative_count == 2
 
     def test_9_4_orientation_flips_signs(self):
         s = sign_sequence(TorusKnotParams(9, 4))
-        assert s.signs == (1, 1)
+        assert [(r.sign, r.count) for r in s.runs] == [(1, 2)]
         assert s.negative_count == 0
 
     def test_2_3(self):
-        assert sign_sequence(TorusKnotParams(2, 3)).signs == (-1,)
+        s = sign_sequence(TorusKnotParams(2, 3))
+        assert [(r.sign, r.count) for r in s.runs] == [(-1, 1)]
 
     def test_unknot_empty(self):
         s = sign_sequence(TorusKnotParams(1, 0))
-        assert s.signs == () and s.negative_count == 0
+        assert s.runs == () and s.negative_count == 0
 
     def test_families_all_negative(self):
         for eps in (1, -1):
             for n in range(2, 30):
                 k = TorusKnotParams(4 * n, (2 * n + eps) ** 2)
-                assert all(s < 0 for s in sign_sequence(k).signs)
-                assert all(s > 0 for s in sign_sequence(k.swap()).signs)
+                # one run of 2n moves, negative, and positive once swapped
+                runs = sign_sequence(k).runs
+                assert [(r.sign, r.count) for r in runs] == [(-1, 2 * n)]
+                runs = sign_sequence(k.swap()).runs
+                assert [(r.sign, r.count) for r in runs] == [(1, 2 * n)]
 
 
 class TestJvcCriterion:

@@ -124,8 +124,9 @@ class TestJToK:
         n = 10**12
         assert verify_j_to_k(n)
         (run,) = pinch_runs(family_knot(FamilyId("J", n)))
-        *_, fourth = islice(run.steps(), 4)
-        assert fourth.target == family_knot(FamilyId("K", n - 2))
+        *_, fourth = islice(run.rows(), 4)
+        k = family_knot(FamilyId("K", n - 2))
+        assert fourth[4:] == (k.p, k.q)
 
     def test_requires_n_at_least_2(self):
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ def move_chain(k, limit):
 def assert_swap_symmetric(k):
     """Swapping the coordinates keeps every run and negates its sign."""
     runs, swapped = pinch_runs(k), pinch_runs(k.swap())
-    assert [r.start.swap() for r in runs] == [r.start for r in swapped]
+    assert [(r.q, r.p) for r in runs] == [(r.p, r.q) for r in swapped]
     assert [r.count for r in runs] == [r.count for r in swapped]
     assert [-r.sign for r in runs] == [r.sign for r in swapped]
 
@@ -69,8 +69,26 @@ def per_run_runs(k):
         else:
             sign, count = -1, k.p // (2 * (k.p - t))
         runs.append(PinchRun(k.p, k.q, t, h, count, sign))
-        k = runs[-1].end
+        k = TorusKnotParams(*run_end(runs[-1]))
     return tuple(runs)
+
+
+def run_end(run):
+    """The (p, q) a run's last move reaches: its start less count strides."""
+    dp, dq = run.stride
+    return run.p - run.count * dp, run.q - run.count * dq
+
+
+def move_fields(run):
+    """A run's moves as (p, q, t, h, p', q', p - 2t, q - 2h, sign), from its rows."""
+    for p, q, t, h, c, d in run.rows():
+        yield p, q, t, h, c, d, p - 2 * t, q - 2 * h, run.sign
+
+
+def step_fields(step):
+    """A PinchStep in the order of move_fields."""
+    return (step.source.p, step.source.q, step.t, step.h, step.target.p,
+            step.target.q, step.p_minus_2t, step.q_minus_2h, step.sign)
 
 
 def run_count(k):
@@ -241,7 +259,7 @@ class TestPinchSequence:
             assert seq.knots() == [(k.p, k.q)] + [
                 (s.target.p, s.target.q) for s in oracle]
             signs = tuple(s.sign for s in oracle)
-            assert seq.signs == signs
+            assert tuple(run.sign for run in seq.runs for _ in run.rows()) == signs
             assert seq.negative_count == signs.count(-1)
             assert seq.equals_pinch_minus_one == (signs.count(-1) == 1)
         if k.p > 1 and k.q > 1 and k.p % 2 == 0 and k.q % 2 == 1:
@@ -275,10 +293,12 @@ class TestPinchRuns:
         k = TorusKnotParams(*pq)
         runs = pinch_runs(k)
         oracle = move_chain(k, ORACLE_MOVES)
-        expanded = chain.from_iterable(run.steps() for run in runs)
-        assert list(islice(expanded, ORACLE_MOVES)) == oracle
-        assert all(next(run.steps()) == pinch_move(run.start) for run in runs)
-        assert [run.start for run in runs[1:]] == [run.end for run in runs[:-1]]
+        expanded = chain.from_iterable(move_fields(run) for run in runs)
+        assert list(islice(expanded, ORACLE_MOVES)) == list(map(step_fields, oracle))
+        assert all(next(move_fields(run)) == step_fields(
+            pinch_move(TorusKnotParams(run.p, run.q))) for run in runs)
+        # runs join end to start
+        assert [(run.p, run.q) for run in runs[1:]] == list(map(run_end, runs[:-1]))
         n = pinch_number(k)
         assert n == sum(run.count for run in runs)
         assert min(n, ORACLE_MOVES) == len(oracle)
@@ -321,7 +341,7 @@ class TestPinchRuns:
     @example((2**256 - 1, 2**256))
     def test_carried_witnesses_match_the_run_start_oracle(self, pq):
         for run in pinch_runs(TorusKnotParams(*pq)):
-            assert (run.t, run.h) == pinch_witnesses(run.start.p, run.start.q)
+            assert (run.t, run.h) == pinch_witnesses(run.p, run.q)
 
     @pytest.mark.parametrize("bits", [1024, 2048, 4096])
     def test_wide_runs_match_the_per_run_engine(self, bits):
@@ -382,8 +402,8 @@ class TestPinchRuns:
         n = 10**12
         k = family_knot(FamilyId(family, n))
         (run,) = pinch_runs(k)
-        assert (run.start, run.count, run.sign) == (k, 2 * n, -1)
-        assert run.end == TorusKnotParams(0, 1)
+        assert (run.p, run.q, run.count, run.sign) == (k.p, k.q, 2 * n, -1)
+        assert run_end(run) == (0, 1)
         assert pinch_number(k) == 2 * n
 
 
