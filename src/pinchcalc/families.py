@@ -1,8 +1,8 @@
 """The torus knot families K_n = T(4n, (2n+1)^2) and J_n = T(4n, (2n-1)^2).
 
 Both families have pinch number 2n (J_1 = T(4, 1) is already unknotted),
-their pinch sequences follow one closed form, and four pinch moves send
-J_n to K_{n-2}.
+their pinch sequences follow one closed form, whose steps closed_form_step
+gives as plain (p, q) pairs, and four pinch moves send J_n to K_{n-2}.
 """
 
 from dataclasses import dataclass
@@ -43,11 +43,12 @@ def family_knot(fid: FamilyId) -> TorusKnotParams:
     return TorusKnotParams(4 * fid.n, odd * odd)
 
 
-def closed_form_step(n: int, eps: int, k: int) -> TorusKnotParams:
-    """The knot after k pinches on T((2n+eps)^2, 4n), in (odd, even) order.
+def closed_form_step(n: int, eps: int, k: int) -> tuple[int, int]:
+    """The (p, q) pair after k pinches on T(4n, (2n+eps)^2).
 
-    Returns T((2n+eps)^2 - 2k(n+eps), 4n - 2k), which k = 2n collapses to
-    T(1, 0), the unknot.  eps is +1 on the K branch and -1 on the J branch.
+    Returns (4n - 2k, (2n+eps)^2 - 2k(n+eps)), in the order of family_knot
+    and PinchSequence.knots(); k = 2n gives (0, 1), the unknot.  eps is +1
+    on the K branch and -1 on the J branch.
     """
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
@@ -56,7 +57,7 @@ def closed_form_step(n: int, eps: int, k: int) -> TorusKnotParams:
     if not 0 <= k <= 2 * n:
         raise ValueError(f"k must lie in [0, {2 * n}], got {k}")
     odd = 2 * n + eps
-    return TorusKnotParams(odd * odd - 2 * k * (n + eps), 4 * n - 2 * k)
+    return 4 * n - 2 * k, odd * odd - 2 * k * (n + eps)
 
 
 def verify_j_to_k(n: int) -> bool:

@@ -54,7 +54,7 @@ def corrupt_closed_form(monkeypatch):
 
     def fake(n, eps, k):
         if (n, eps, k) in {(3, 1, 1), (3, 1, 4), (2, -1, 0)}:
-            return TorusKnotParams(1, 0)
+            return (0, 1)
         return real(n, eps, k)
 
     monkeypatch.setattr(cli, "closed_form_step", fake)
@@ -753,7 +753,7 @@ class TestVerifyAll:
             verify_all(1)
 
     def test_refuses_range_over_bound(self, monkeypatch):
-        # `verify all` costs about N^2: 66 s at N = 3000
+        # `verify all` costs about N^2: about 9 s at N = 3000
         assert cli.VERIFY_MAX_N == 3000
         monkeypatch.setattr(cli, "VERIFY_MAX_N", 10)
         assert verify_all(10)["status"] == "ok"
@@ -761,6 +761,21 @@ class TestVerifyAll:
         for mode in cli.MODES:
             with pytest.raises(ValueError, match="max_n 11 is over the verify bound 10"):
                 verify_all(11, mode)
+
+    def test_closed_form_builds_one_knot_per_member(self, monkeypatch):
+        built = []
+        check = TorusKnotParams.__post_init__
+
+        def counted(knot):
+            built.append((knot.p, knot.q))
+            check(knot)
+
+        monkeypatch.setattr(TorusKnotParams, "__post_init__", counted)
+        section = cli.check_pinch_numbers_and_closed_form(30)
+        assert section == {"checked": 59, "violations": []}
+        # each member's start, K_1..K_30 then J_2..J_30, and no knot per step
+        assert len(built) == 59
+        assert built[0] == (4, 9) and built[-1] == (120, 59 * 59)
 
     def test_a_j_table_mismatch_is_a_violation(self, monkeypatch):
         monkeypatch.setitem(cli.REFERENCE_ROWS_J, 2, [(8, 9), (0, 1)])

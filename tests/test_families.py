@@ -50,12 +50,14 @@ class TestFamilyKnot:
 
 class TestClosedForm:
     def test_examples(self):
-        assert closed_form_step(3, 1, 1) == TorusKnotParams(41, 10)
-        assert closed_form_step(2, -1, 3) == TorusKnotParams(3, 2)
-        assert closed_form_step(2, -1, 4) == TorusKnotParams(1, 0)
+        # (p, q) in family_knot order, ending on the engine's terminal pair
+        assert closed_form_step(3, 1, 0) == (12, 49)
+        assert closed_form_step(3, 1, 1) == (10, 41)
+        assert closed_form_step(2, -1, 3) == (2, 3)
+        assert closed_form_step(2, -1, 4) == (0, 1)
         for n in (1, 2, 7):
             for eps in (1, -1):
-                assert closed_form_step(n, eps, 2 * n) == TorusKnotParams(1, 0)
+                assert closed_form_step(n, eps, 2 * n) == (0, 1)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
@@ -77,20 +79,16 @@ class TestClosedForm:
         for fam, eps, lo in (("K", 1, 1), ("J", -1, 2)):
             for n in range(lo, 30):
                 knots = pinch_sequence(family_knot(FamilyId(fam, n))).knots()
-                for k in range(2 * n + 1):
-                    formula = closed_form_step(n, eps, k)
-                    assert formula.same_knot(TorusKnotParams(*knots[k]))
+                assert [closed_form_step(n, eps, k) for k in range(2 * n + 1)] == knots
 
     def test_stepwise_agreement(self):
         # pinching the closed form at k gives the closed form at k+1
         for eps in (1, -1):
             for n in range(2, 20):
                 for k in range(2 * n):
-                    cur = closed_form_step(n, eps, k)
-                    if cur.is_unknot():
-                        continue
+                    cur = TorusKnotParams(*closed_form_step(n, eps, k))
                     nxt = pinch_move(cur).target
-                    assert nxt.same_knot(closed_form_step(n, eps, k + 1))
+                    assert (nxt.p, nxt.q) == closed_form_step(n, eps, k + 1)
 
 
 class TestJToK:
