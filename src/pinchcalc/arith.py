@@ -79,10 +79,6 @@ class ReducedFraction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.den == 0
-
     def __str__(self):
         return f"{self.num}/{self.den}"
 
@@ -100,12 +96,6 @@ class EvenCF:
         for a in self.coeffs:
             if a == 0 or a % 2 != 0:
                 raise ValueError(f"entries must be even and nonzero, got {a}")
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
 
     def __str__(self):
         return "[" + ",".join(str(a) for a in self.coeffs) + "]"

@@ -39,9 +39,8 @@ def jvc_criterion(k: TorusKnotParams) -> PinchSequence:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """Everything the band surgery construction certifies for one member."""
+    """The certificate of one member; the caller holds its FamilyId."""
 
-    fid: FamilyId
     knot: TorusKnotParams
     pinch_number: int
     band_count: int
@@ -75,7 +74,6 @@ def counterexample_report(fid: FamilyId) -> CounterexampleReport:
             "not in the slice family"
         )
     return CounterexampleReport(
-        fid=fid,
         knot=knot,
         pinch_number=pinch,
         band_count=2 * n - 1,

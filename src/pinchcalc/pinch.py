@@ -76,9 +76,6 @@ class TorusKnotParams:
         """The orientation with first coordinate <= second."""
         return self if self.p <= self.q else self.swap()
 
-    def same_knot(self, other: "TorusKnotParams") -> bool:
-        return self.canonical() == other.canonical()
-
     def __str__(self):
         return f"({self.p},{self.q})"
 
@@ -247,13 +244,14 @@ def iteration_cap(k: TorusKnotParams) -> int:
 def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
     """The pinch sequence of k as maximal runs, with one modular inverse in all.
 
-    Only k's witnesses come from pinch_witnesses; each later run's come from
-    the run before, with one division by the current knot (p', q').  A pair
-    (T, H) with p'H - q'T = 1 gives the least witnesses (T - jp', H - jq')
-    for j = T // p'.  After a positive run its witnesses (t, h) are such a
-    pair, since each move keeps ph - qt.  After a negative run the negated
-    complement (-u, -v) = (t - p, h - q) is one, since pv - qu = -1 and each
-    move subtracts a multiple of (u, v).
+    pinch_witnesses is called once, on k, and only when k is knotted.  Every
+    run then reduces the pair it carries with one division by the current
+    knot (p', q'): a pair (T, H) with p'H - q'T = 1 gives the least
+    witnesses (T - jp', H - jq') for j = T // p'.  The first run carries k's
+    least witnesses, so its j is 0.  After a positive run its witnesses
+    (t, h) are such a pair, since each move keeps ph - qt.  After a negative
+    run the negated complement (-u, -v) = (t - p, h - q) is one, since
+    pv - qu = -1 and each move subtracts a multiple of (u, v).
 
     Builds no knot: each run start is carried as plain ints, and the check
     below, 0 < t < p, 0 < h < q and ph - qt = 1, is what proves it coprime.
@@ -266,12 +264,11 @@ def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
     cap = iteration_cap(k)
     total = 0
     p, q = k.p, k.q
+    if p > 1 and q > 1:
+        t, h = pinch_witnesses(p, q)
     while p > 1 and q > 1:
-        if runs:
-            j = t // p
-            t, h = t - j * p, h - j * q
-        else:
-            t, h = pinch_witnesses(p, q)
+        j = t // p
+        t, h = t - j * p, h - j * q
         if not (0 < t < p and 0 < h < q and p * h - q * t == 1):
             raise RuntimeError(f"T({p},{q}): ({t}, {h}) are not its pinch witnesses")
         if p > 2 * t:

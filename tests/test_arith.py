@@ -102,7 +102,7 @@ class TestReducedFraction:
 
     def test_infinity_is_unique(self):
         assert ReducedFraction(-3, 0) == ReducedFraction(1, 0)
-        assert ReducedFraction(1, 0).is_infinite
+        assert ReducedFraction(1, 0).den == 0
 
     def test_zero_over_zero_rejected(self):
         with pytest.raises(ValueError):

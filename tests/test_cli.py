@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import signal
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import pinchcalc
 from pinchcalc import cli, criteria, pinch
 from pinchcalc.cli import cli_main, fmt_fraction, verify_all
 from pinchcalc.arith import ReducedFraction
@@ -730,6 +732,25 @@ class TestSubprocessHarness:
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1].startswith("RuntimeError: ")
+
+
+class TestPackage:
+    """Each name has one import path, its module; the package binds none."""
+
+    def test_binds_no_function_or_class(self):
+        bound = [name for name, value in vars(pinchcalc).items()
+                 if inspect.isfunction(value) or inspect.isclass(value)]
+        assert bound == []
+
+    def test_importing_a_module_loads_only_it(self):
+        script = ("import sys, pinchcalc.arith\n"
+                  "print(*sorted(n for n in sys.modules"
+                  " if n.partition('.')[0] == 'pinchcalc'))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=TestSubprocessHarness.env, check=True,
+        )
+        assert proc.stdout.split() == ["pinchcalc", "pinchcalc.arith"]
 
 
 class TestVerifyAll:

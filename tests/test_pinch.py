@@ -147,8 +147,8 @@ class TestTorusKnotParams:
     def test_canonical_and_same_knot(self):
         k = TorusKnotParams(9, 4)
         assert k.canonical() == TorusKnotParams(4, 9)
-        assert k.same_knot(TorusKnotParams(4, 9))
-        assert not k.same_knot(TorusKnotParams(2, 5))
+        assert k.canonical() == TorusKnotParams(4, 9).canonical()
+        assert k.canonical() != TorusKnotParams(2, 5).canonical()
 
 
 class TestPinchMove:
