@@ -16,7 +16,7 @@ by Y, and to Y (+) R replaces L, so a knotted child's pinch number is
 
     N(child) = 1 + N(the parent of Y that the child does not have).
 
-swept_pinch_numbers applies this to every node of a walk.  pinch_number
+sweep_termination applies this to every node of a walk.  pinch_number
 applies it a block at a time along the path of p/q = [a0; a1, ..., am],
 which is R^a0 L^a1 R^a2 ... with am - 1 steps in the last block.  Within a
 block one side stays fixed and the other side S is replaced at each step,
@@ -136,10 +136,11 @@ class PinchRun(NamedTuple):
         is nonnegative.  These two checks, made once, make every target a
         coprime pair.  The end bound keeps each move's p_j - 2t_j and
         q_j - 2h_j of the run's sign or zero, so each move subtracts the
-        stride.  A positive run moves (p, q) by multiples of (t, h), and a
-        negative run moves (p, q) and (t, h) alike by multiples of (u, v);
-        neither changes ph - qt, so p_j h_j - q_j t_j = 1 on every move.  The
-        target (|p_j - 2t_j|, |q_j - 2h_j|) then has
+        stride: the target (|p_j - 2t_j|, |q_j - 2h_j|) is (p_j, q_j) less
+        the stride, which is how it is computed.  A positive run moves (p, q)
+        by multiples of (t, h), and a negative run moves (p, q) and (t, h)
+        alike by multiples of (u, v); neither changes ph - qt, so
+        p_j h_j - q_j t_j = 1 on every move.  The target then has
         (p_j - 2t_j) h_j - (q_j - 2h_j) t_j = 1, so its gcd is 1: the checks
         catch every run that a gcd per move would.
         """
@@ -152,7 +153,7 @@ class PinchRun(NamedTuple):
         # negative one, where p_j - u and q_j - v shrink with p_j and q_j
         dt, dh = (0, 0) if self.sign > 0 else (dp, dq)
         for _ in range(self.count):
-            p2, q2 = abs(p - 2 * t), abs(q - 2 * h)
+            p2, q2 = p - dp, q - dq
             yield p, q, t, h, p2, q2
             p, q, t, h = p2, q2, t - dt, h - dh
 
@@ -338,50 +339,49 @@ def pinch_number(k: TorusKnotParams) -> int:
 SWEEP_MAX_LIMIT = 23169
 
 
-def swept_pinch_numbers(limit: int) -> Iterator[tuple[int, int, int]]:
-    """(p, q, pinch number) for every coprime 2 <= p < q <= limit, by additions.
+def sweep_termination(limit: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Check every coprime pair 2 <= p < q <= limit against the iteration cap.
 
-    A walk of the Stern-Brocot tree of (0, 1), by the recurrence of the
-    module docstring: if p/q = a/b (+) c/d, the child a/b (+) p/q has pinch
-    number 1 + N(c/d), and p/q (+) c/d has 1 + N(a/b).  A stack entry
-    (a, b, N_a, c, d, N_c, g) is the mediant of a/b and c/d, whose pinch
-    number g its parent worked out.  Each 1/q is an unknot; the other nodes
-    lie once each in the right subtrees of the 1/q.
-    Raises RuntimeError when the witnesses of a node with q == limit differ
-    from pinch_witnesses.
+    Pinch numbers are swap invariant, so one walk of the Stern-Brocot tree
+    of (0, 1) covers them, by the recurrence of the module docstring, in
+    memory linear in the limit and time quadratic in it.  Each 1/q is an
+    unknot; the other nodes lie once each in the right subtrees of the 1/q.
+    A stack entry (a, b, N_a, c, d, N_c, n) is the node X = a/b (+) c/d
+    with pinch number n, and the walk follows its chain of right children
+    X_{k+1} = X_k (+) c/d: X_k is the left parent of X_{k+1}, so
+    N(X_{k+1}) = 1 + N(the left parent of X_k), and each left child
+    L_k (+) X_k, pushed for later, has 1 + N_c.
+
+    Returns (pairs_checked, violations) where each violation is
+    (p, q, length, cap), in order; an empty list means every pinch sequence
+    in range fits its cap.  Raises ValueError when the limit passes
+    SWEEP_MAX_LIMIT, and RuntimeError when a node with q == limit has
+    witnesses other than pinch_witnesses or, unless it is a violation, a
+    pinch number other than pinch_number's.
     """
+    if limit > SWEEP_MAX_LIMIT:
+        raise ValueError(f"limit {limit} is over the sweep bound {SWEEP_MAX_LIMIT}")
+    checked = 0
+    violations = []
     for spine in range(2, (limit + 3) // 2):
         stack = [(1, spine, 0, 1, spine - 1, 0, 1)]
         pop, push = stack.pop, stack.append
         while stack:
             a, b, na, c, d, nc, n = pop()
             p, q = a + c, b + d
-            yield p, q, n
-            if q + b <= limit:
-                push((a, b, na, p, q, n, 1 + nc))
-            if q + d <= limit:
-                push((p, q, n, c, d, nc, 1 + na))
-            elif q == limit and pinch_witnesses(p, q) != (a, b):
-                raise RuntimeError(f"T({p}, {q}) has tree witnesses ({a}, {b})")
-
-
-def sweep_termination(limit: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Check every coprime pair 2 <= p < q <= limit against the iteration cap.
-
-    Pinch numbers are swap invariant, and swept_pinch_numbers gives them for
-    p < q in memory linear in the limit and time quadratic in it.  Returns
-    (pairs_checked, violations) where each violation is (p, q, length, cap),
-    in order; an empty list means every pinch sequence in range fits its cap.
-
-    Raises ValueError when the limit passes SWEEP_MAX_LIMIT.
-    """
-    if limit > SWEEP_MAX_LIMIT:
-        raise ValueError(f"limit {limit} is over the sweep bound {SWEEP_MAX_LIMIT}")
-    checked = 0
-    violations = []
-    for p, q, n in swept_pinch_numbers(limit):
-        checked += 1
-        if n > p // 2 + 1:
-            violations.append((p, q, n, p // 2 + 1))
+            left = 1 + nc
+            while True:
+                checked += 1
+                if n > p // 2 + 1:
+                    violations.append((p, q, n, p // 2 + 1))
+                if q + b <= limit:
+                    push((a, b, na, p, q, n, left))
+                if q + d > limit:
+                    break
+                a, b, na, p, q, n = p, q, n, p + c, q + d, 1 + na
+            if q == limit and (pinch_witnesses(p, q) != (a, b) or (
+                    n <= p // 2 + 1 and n != pinch_number(TorusKnotParams(p, q)))):
+                raise RuntimeError(f"T({p}, {q}): tree witnesses ({a}, {b}) or pinch"
+                                   f" number {n} differ from the engines'")
     violations.sort()
     return checked, violations

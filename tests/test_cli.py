@@ -661,23 +661,31 @@ class TestSubprocessHarness:
             stderr = proc.stderr.read()
             assert (proc.wait(timeout=10), stderr) == (-signal.SIGPIPE, b"")
 
-    @pytest.mark.parametrize("script, code, line", [
-        (["termination_scan.py", "--limit", "60"], 0,
+    @pytest.mark.parametrize("patch, script, code, line", [
+        ("", ["termination_scan.py", "--limit", "60"], 0,
          "coprime pairs checked: 1042 (2 <= p <= q <= 60)"),
-        (["print_pinch_tables.py", "--max-n", "2"], 0,
+        ("", ["print_pinch_tables.py", "--max-n", "2"], 0,
          "K_1 = (4,9) -> (2,5) -> (0,1)   [2 pinches]"),
-        (["cli_digests.py"], 0, CLI_DIGEST_PINCH_SEQ),
+        ("", ["cli_digests.py"], 0, CLI_DIGEST_PINCH_SEQ),
         # about 3e9 pairs, refused before the walk starts
-        (["termination_scan.py", "--limit", "100000"], 2,
+        ("", ["termination_scan.py", "--limit", "100000"], 2,
          "termination_scan.py: error: limit 100000 is over the sweep bound 23169"),
+        # a failed self-check of the walk is a bug (3), not a violation (1)
+        ("pinch.pinch_witnesses = lambda p, q: (1, 1)",
+         ["termination_scan.py", "--limit", "10"], 3,
+         "termination_scan.py: internal error: T(9, 10): tree witnesses (8, 9)"
+         " or pinch number 4 differ from the engines'"),
     ], ids=["termination-scan", "pinch-tables", "cli-digests",
-            "termination-scan-refused"])
-    def test_script(self, script, code, line):
-        scripts = Path(__file__).parents[1] / "scripts"
-        proc = subprocess.run(
-            [sys.executable, str(scripts / script[0]), *script[1:]],
-            capture_output=True, text=True, env=self.env,
-        )
+            "termination-scan-refused", "termination-scan-internal-error"])
+    def test_script(self, patch, script, code, line):
+        path = str(Path(__file__).parents[1] / "scripts" / script[0])
+        argv = [sys.executable, path, *script[1:]]
+        if patch:
+            # the child patches pinchcalc, then runs the script as __main__
+            argv[1:1] = ["-c", "import runpy, sys\nfrom pinchcalc import pinch\n"
+                         f"{patch}\nsys.argv = sys.argv[1:]\n"
+                         "runpy.run_path(sys.argv[0], run_name='__main__')\n"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=self.env)
         assert proc.returncode == code
         assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
 
@@ -708,6 +716,8 @@ class TestSubprocessHarness:
         ("pinch.pinch_witnesses = lambda p, q: (0, 0)", "sweep_termination(10)"),
         # the walk's witnesses on the last column differ from these
         ("pinch.pinch_witnesses = lambda p, q: (1, 1)", "sweep_termination(10)"),
+        # and its pinch numbers there from this
+        ("pinch.pinch_number = lambda k: -1", "sweep_termination(10)"),
         ("pinch.pinch_witnesses = lambda p, q: (p / 2, q / 2)",
          "pinch_move(TorusKnotParams(4, 9))"),
         ("pinch.pinch_witnesses = lambda p, q: (0, 0)",
@@ -716,8 +726,9 @@ class TestSubprocessHarness:
         ("", "list(PinchRun(4, 9, 2, 3, 1, 1).rows())"),
         # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
         ("", "list(PinchRun(4, 9, 1, 1, 1, 1).rows())"),
-    ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "pinch-move-sign",
-            "pinch-runs-witnesses", "run-rows-coprime", "run-rows-witnesses"])
+    ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "sweep-pinch-number",
+            "pinch-move-sign", "pinch-runs-witnesses", "run-rows-coprime",
+            "run-rows-witnesses"])
     def test_broken_invariant_raises_under_O(self, patch, call):
         # python -O strips assert statements; the invariants must still hold
         script = (

@@ -26,7 +26,6 @@ from pinchcalc.pinch import (
     pinch_sequence,
     pinch_witnesses,
     sweep_termination,
-    swept_pinch_numbers,
 )
 
 coprime_pairs = st.tuples(st.integers(2, 2000), st.integers(2, 2000)).filter(
@@ -117,6 +116,19 @@ def count_witness_calls(monkeypatch):
         return witnesses(p, q)
 
     monkeypatch.setattr(pinch, "pinch_witnesses", counted)
+    return calls
+
+
+def record_pinch_numbers(monkeypatch, engine):
+    """Patch pinch.pinch_number to engine; the returned list collects each
+    call's (p, q)."""
+    calls = []
+
+    def recorded(k):
+        calls.append((k.p, k.q))
+        return engine(k)
+
+    monkeypatch.setattr(pinch, "pinch_number", recorded)
     return calls
 
 
@@ -459,20 +471,24 @@ class TestSweep:
             assert n <= iteration_cap(TorusKnotParams(p, q))
             assert n == pinch_number(TorusKnotParams(q, p))
 
-    def test_walk_matches_pinch_number(self):
-        swept = [(p, q) for p, q, n in swept_pinch_numbers(150)
-                 if n == pinch_number(TorusKnotParams(p, q))]
-        assert sorted(swept) == [
+    def test_walk_matches_pinch_number(self, monkeypatch):
+        # the walk compares its N with pinch_number on its last column, and
+        # the limits 3..150 put every pair with q <= 150 on a last column
+        checked = record_pinch_numbers(monkeypatch, pinch_number)
+        for limit in range(3, 151):
+            sweep_termination(limit)
+        assert sorted(checked) == [
             (p, q) for p in range(2, 151) for q in range(p + 1, 151)
             if gcd(p, q) == 1
         ]
 
     @pytest.mark.parametrize("limit", [1999, 2000])
-    def test_last_column_matches_the_run_engine(self, limit):
-        column = [(p, n) for p, q, n in swept_pinch_numbers(limit) if q == limit]
-        assert sorted(p for p, _ in column) == [
+    def test_last_column_matches_the_run_engine(self, monkeypatch, limit):
+        checked = record_pinch_numbers(monkeypatch, run_count)
+        sweep_termination(limit)
+        assert sorted(p for p, q in checked) == [
             p for p in range(2, limit) if gcd(p, limit) == 1]
-        assert all(n == run_count(TorusKnotParams(p, limit)) for p, n in column)
+        assert {q for p, q in checked} == {limit}
 
     def test_negative_limits_sweep_nothing(self):
         assert sweep_termination(-1) == sweep_termination(-10**9) == (0, [])
