@@ -6,8 +6,9 @@ gives as plain (p, q) pairs, and four pinch moves send J_n to K_{n-2}.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_runs
+from .pinch import PinchRun, TorusKnotParams, pinch_move, pinch_runs
 
 
 @dataclass(frozen=True)
@@ -73,24 +74,57 @@ def verify_j_to_k(n: int) -> bool:
     return cur == family_knot(FamilyId("K", n - 2))
 
 
+def _k_members_on(runs: tuple[PinchRun, ...], max_n: int) -> list[int]:
+    """The n of each K_n, n <= max_n, that the chain of runs visits, in order.
+
+    Move k of a run lands on (p, q) - k * stride, and K_n = T(4n, (2n+1)^2)
+    is the knot (x, y) with x > 0, x = 0 (mod 4) and 4y = (x + 2)^2.  On the
+    line (x0 - k dx, y0 - k dy) that equation is quadratic in k,
+
+        a k^2 + b k + c = 0,  a = dx^2,  b = 4 dy - 2 s dx,  c = s^2 - 4 y0,
+
+    with s = x0 + 2, and a > 0: pinch_runs keeps 0 < t < p and 0 < h < q, so
+    both coordinates of every stride are positive.  It is solved exactly in
+    each coordinate order: its integer roots are among the floors of
+    (-b -+ isqrt(b^2 - 4ac)) / 2a, and each candidate is checked on the line
+    itself.  k runs over [0, count] on the first run and [1, count] on the
+    later ones, whose start is the previous run's end, so each knot visited
+    counts once.  Reading each stride checks its run.
+    """
+    hits = []
+    lo = 0
+    for run in runs:
+        dp, dq = run.stride
+        found = []
+        for x0, y0, dx, dy in ((run.p, run.q, dp, dq), (run.q, run.p, dq, dp)):
+            s = x0 + 2
+            a, b, c = dx * dx, 4 * dy - 2 * s * dx, s * s - 4 * y0
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            for k in {(-b - r) // (2 * a), (-b + r) // (2 * a)}:
+                x, y = x0 - k * dx, y0 - k * dy
+                if (lo <= k <= run.count and 0 < x <= 4 * max_n and x % 4 == 0
+                        and 4 * y == (x + 2) ** 2):
+                    found.append((k, x // 4))
+        hits += [n for _, n in sorted(found)]
+        lo = 1
+    return hits
+
+
 def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
     """Scan the pinch sequences of K_1..K_max_n for visits to other members.
 
     Returns the offending (m, n) pairs, empty when no sequence starting at
-    some K_m passes through a different K_n.  Each chain is read as the
-    (p, q) pairs of PinchSequence.knots(), so every run is checked once.
+    some K_m passes through a different K_n.  Each chain is read run by
+    run: the members on a run are the roots of one quadratic in the move
+    count, so each chain costs O(runs), one run for every K_m.
     """
     if max_n < 1:
         raise ValueError(f"needs max_n >= 1, got {max_n}")
-    members = {}
-    for n in range(1, max_n + 1):
-        k = family_knot(FamilyId("K", n)).canonical()
-        members[k.p, k.q] = n
     violations = []
     for m in range(1, max_n + 1):
         knot = family_knot(FamilyId("K", m))
-        for p, q in PinchSequence(knot, pinch_runs(knot)).knots():
-            hit = members.get((p, q) if p <= q else (q, p))
-            if hit is not None and hit != m:
-                violations.append((m, hit))
+        violations += [(m, n) for n in _k_members_on(pinch_runs(knot), max_n) if n != m]
     return violations

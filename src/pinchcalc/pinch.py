@@ -122,33 +122,35 @@ class PinchRun(NamedTuple):
 
     @property
     def stride(self) -> tuple[int, int]:
-        """What each move subtracts: (2t, 2h) if positive, (2u, 2v) if negative."""
-        if self.sign > 0:
-            return 2 * self.t, 2 * self.h
-        return 2 * (self.p - self.t), 2 * (self.q - self.h)
+        """What each move subtracts: (2t, 2h) if positive, (2u, 2v) if negative.
 
-    def rows(self) -> Iterator[tuple[int, int, int, int, int, int]]:
-        """The run's moves as plain ints (p, q, t, h, p', q'): source, witnesses,
-        target.
-
-        Raises RuntimeError, before the first move, unless the witness
-        identity ph - qt = 1 holds and the run's end (p, q) - count * stride
-        is nonnegative.  These two checks, made once, make every target a
-        coprime pair.  The end bound keeps each move's p_j - 2t_j and
-        q_j - 2h_j of the run's sign or zero, so each move subtracts the
-        stride: the target (|p_j - 2t_j|, |q_j - 2h_j|) is (p_j, q_j) less
-        the stride, which is how it is computed.  A positive run moves (p, q)
-        by multiples of (t, h), and a negative run moves (p, q) and (t, h)
-        alike by multiples of (u, v); neither changes ph - qt, so
-        p_j h_j - q_j t_j = 1 on every move.  The target then has
+        Raises RuntimeError unless the witness identity ph - qt = 1 holds
+        and the run's end (p, q) - count * stride is nonnegative, so every
+        reader of a run, rows() included, refuses a bad one, under -O too.
+        These two checks, made once, make every target a coprime pair.  The
+        end bound keeps each move's p_j - 2t_j and q_j - 2h_j of the run's
+        sign or zero, so each move subtracts the stride: the target
+        (|p_j - 2t_j|, |q_j - 2h_j|) is (p_j, q_j) less the stride.  A
+        positive run moves (p, q) by multiples of (t, h), and a negative run
+        moves (p, q) and (t, h) alike by multiples of (u, v); neither changes
+        ph - qt, so p_j h_j - q_j t_j = 1 on every move.  The target then has
         (p_j - 2t_j) h_j - (q_j - 2h_j) t_j = 1, so its gcd is 1: the checks
         catch every run that a gcd per move would.
         """
+        p, q, t, h, count = self.p, self.q, self.t, self.h, self.count
+        dp, dq = (2 * t, 2 * h) if self.sign > 0 else (2 * (p - t), 2 * (q - h))
+        if p * h - q * t != 1 or min(p - count * dp, q - count * dq) < 0:
+            raise RuntimeError(
+                f"T({p},{q}): ({t}, {h}) do not start a run of {count} moves")
+        return dp, dq
+
+    def rows(self) -> Iterator[tuple[int, int, int, int, int, int]]:
+        """The run's moves as plain ints (p, q, t, h, p', q'): source, witnesses,
+        target.  Each target is the source less the stride, which is read,
+        and so checked, before the first move.
+        """
         dp, dq = self.stride
         p, q, t, h = self.p, self.q, self.t, self.h
-        if p * h - q * t != 1 or min(p - self.count * dp, q - self.count * dq) < 0:
-            raise RuntimeError(
-                f"T({p},{q}): ({t}, {h}) do not start a run of {self.count} moves")
         # witnesses stay put on a positive run and fall by the stride on a
         # negative one, where p_j - u and q_j - v shrink with p_j and q_j
         dt, dh = (0, 0) if self.sign > 0 else (dp, dq)
@@ -283,13 +285,15 @@ def pinch_runs(k: TorusKnotParams) -> tuple[PinchRun, ...]:
         total += count
         if total > cap:
             raise IterationCapError(f"T{k} still nontrivial after {cap} pinches")
-        run = PinchRun(p, q, t, h, count, sign)
-        runs.append(run)
+        runs.append(PinchRun(p, q, t, h, count, sign))
         if sign < 0:
             # carry the negated complement (-u, -v) to the next run
             t, h = t - p, h - q
-        dp, dq = run.stride
-        p, q = p - count * dp, q - count * dq
+        # the stride is (2t, 2h) on a positive run and 2(u, v) = -(2t, 2h)
+        # once a negative run carries its complement; the check above
+        # stands in for the one that reading PinchRun.stride makes
+        step = 2 * sign * count
+        p, q = p - step * t, q - step * h
     return tuple(runs)
 
 

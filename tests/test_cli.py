@@ -12,7 +12,7 @@ import pinchcalc
 from pinchcalc import cli, criteria, pinch
 from pinchcalc.cli import cli_main, fmt_fraction, verify_all
 from pinchcalc.arith import ReducedFraction
-from pinchcalc.pinch import TorusKnotParams
+from pinchcalc.pinch import PinchRun, TorusKnotParams
 
 
 def doc(command, inputs, results, status="ok"):
@@ -726,9 +726,16 @@ class TestSubprocessHarness:
         ("", "list(PinchRun(4, 9, 2, 3, 1, 1).rows())"),
         # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
         ("", "list(PinchRun(4, 9, 1, 1, 1, 1).rows())"),
+        # the verify sections read that run's stride, not its rows
+        ("from pinchcalc import cli\n"
+         "cli.pinch_runs = lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)",
+         "cli.check_pinch_numbers_and_closed_form(3)"),
+        ("from pinchcalc import cli, families\n"
+         "families.pinch_runs = lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)",
+         "cli.check_k_independence(3)"),
     ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "sweep-pinch-number",
             "pinch-move-sign", "pinch-runs-witnesses", "run-rows-coprime",
-            "run-rows-witnesses"])
+            "run-rows-witnesses", "closed-form-bad-run", "k-independence-bad-run"])
     def test_broken_invariant_raises_under_O(self, patch, call):
         # python -O strips assert statements; the invariants must still hold
         script = (
@@ -785,7 +792,7 @@ class TestVerifyAll:
             verify_all(1)
 
     def test_refuses_range_over_bound(self, monkeypatch):
-        # `verify all` costs about N^2: about 9 s at N = 3000
+        # `verify all` reads runs, not moves: about 0.2 s at N = 3000
         assert cli.VERIFY_MAX_N == 3000
         monkeypatch.setattr(cli, "VERIFY_MAX_N", 10)
         assert verify_all(10)["status"] == "ok"
@@ -808,6 +815,32 @@ class TestVerifyAll:
         # each member's start, K_1..K_30 then J_2..J_30, and no knot per step
         assert len(built) == 59
         assert built[0] == (4, 9) and built[-1] == (120, 59 * 59)
+
+    def test_closed_form_reads_every_run(self, monkeypatch):
+        # K_2's chain as two runs: the first has the closed form's start and
+        # stride, and the second, which passes its own check, climbs
+        split = (PinchRun(8, 25, 7, 22, 1, -1), PinchRun(6, 19, -1, -3, 3, 1))
+        real = pinch.pinch_runs
+        monkeypatch.setattr(cli, "pinch_runs",
+                            lambda k: split if (k.p, k.q) == (8, 25) else real(k))
+        section = cli.check_pinch_numbers_and_closed_form(2)
+        assert [(v["member"], v["k"]) for v in section["violations"]] == [
+            ("K_2", 2), ("K_2", 3), ("K_2", 4)]
+
+    def test_closed_form_off_by_a_constant_differs_at_every_step(self, monkeypatch):
+        # the same stride as the engine's, from another start
+        real = cli.closed_form_step
+
+        def shifted(n, eps, k):
+            p, q = real(n, eps, k)
+            return p + 2, q
+
+        monkeypatch.setattr(cli, "closed_form_step", shifted)
+        section = cli.check_pinch_numbers_and_closed_form(2)
+        assert section["checked"] == 3
+        assert [(v["member"], v["k"]) for v in section["violations"]] == [
+            (member, k) for member, n in (("K_1", 1), ("K_2", 2), ("J_2", 2))
+            for k in range(2 * n + 1)]
 
     def test_a_j_table_mismatch_is_a_violation(self, monkeypatch):
         monkeypatch.setitem(cli.REFERENCE_ROWS_J, 2, [(8, 9), (0, 1)])

@@ -1,4 +1,5 @@
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -81,6 +82,16 @@ class TestClosedForm:
                 knots = pinch_sequence(family_knot(FamilyId(fam, n))).knots()
                 assert [closed_form_step(n, eps, k) for k in range(2 * n + 1)] == knots
 
+    def test_is_affine_in_k(self):
+        # the premise of the closed_form section's run check: the formula's
+        # first term, first difference and length fix every step
+        for n in range(1, 201):
+            for eps in (1, -1):
+                (p0, q0), (p1, q1) = (closed_form_step(n, eps, k) for k in (0, 1))
+                for k in range(2 * n + 1):
+                    assert closed_form_step(n, eps, k) == (
+                        p0 - k * (p0 - p1), q0 - k * (q0 - q1))
+
     def test_stepwise_agreement(self):
         # pinching the closed form at k gives the closed form at k+1
         for eps in (1, -1):
@@ -149,8 +160,35 @@ class TestKIndependence:
         monkeypatch.setattr(families, "family_knot", fake)
         assert verify_k_independence(5) == [(3, 1)]
 
+    @pytest.mark.parametrize("max_n, chains_hit", [(60, 198), (3, 194)])
+    def test_run_roots_match_a_knot_scan(self, max_n, chains_hit):
+        # the quadratic's roots on each run against the members met by a walk
+        # over every knot the chain visits, in both coordinate orders; at
+        # max_n = 3 the chains also pass K_4 = T(16, 81), past the bound
+        members = {}
+        for n in range(1, max_n + 1):
+            k = family_knot(FamilyId("K", n))
+            members[k.p, k.q] = n
+        hits = 0
+        for p in range(100):
+            for q in range(100):
+                if gcd(p, q) != 1:
+                    continue
+                seq = pinch_sequence(TorusKnotParams(p, q))
+                scan = [members[min(c), max(c)] for c in seq.knots()
+                        if (min(c), max(c)) in members]
+                assert families._k_members_on(seq.runs, max_n) == scan
+                hits += bool(scan)
+        assert hits == chains_hit
+
+    def test_run_roots_stop_at_the_run_end(self):
+        # J_3's one run passes K_1 = T(4, 9) on its fourth move, not before
+        (run,) = pinch_runs(family_knot(FamilyId("J", 3)))
+        assert families._k_members_on((run,), 60) == [1]
+        assert families._k_members_on((run._replace(count=3),), 60) == []
+
     def test_checks_each_run(self, monkeypatch):
-        # (1, 1) are not witnesses of T(4, 9): ph - qt = -5, so rows() refuses
+        # (1, 1) are not witnesses of T(4, 9): ph - qt = -5, so its stride refuses
         bad = (PinchRun(4, 9, 1, 1, 1, 1),)
         monkeypatch.setattr(families, "pinch_runs", lambda k: bad)
         with pytest.raises(RuntimeError):

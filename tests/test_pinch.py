@@ -458,10 +458,15 @@ class TestSweep:
             1 for p in range(2, 201) for q in range(p + 1, 201) if gcd(p, q) == 1
         )
 
-    def test_matches_direct_sequences(self):
+    def test_matches_direct_sequences(self, monkeypatch):
+        # the walk holds its N on the last column against the step oracle
+        oracle = record_pinch_numbers(monkeypatch, lambda k: len(move_chain(k, 200)))
         rng = random.Random(777)
         checked, violations = sweep_termination(300)
         assert violations == []
+        assert sorted(p for p, q in oracle) == [
+            p for p in range(2, 300) if gcd(p, 300) == 1]
+        assert {q for p, q in oracle} == {300}
         for _ in range(60):
             p = rng.randint(2, 300)
             q = rng.randint(2, 300)
