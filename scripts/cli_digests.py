@@ -7,8 +7,12 @@ its command.  The set: the knot commands on coprime pairs of 8 to 256 bits
 (chains of at most MAX_MOVES moves) and on every pair in [-1, 11]^2, the
 member commands on K_n and J_n for n <= 29 and jvc on their knots (one run
 of 2n negative moves each), both tangle commands on a few fractions, and
-verify in every mode at --max-n 1, 2, 5 and 40.  Two checkouts print the
-same lines exactly when their outputs are identical:
+verify in every mode at --max-n 1, 2, 5, 40, 300 and 3000, the verify
+bound.  Two more lines digest the pinch tables that print_pinch_tables.py
+prints for K and J at --max-n 12 (each chain from PinchSequence.knots()),
+and repr(sweep_termination(3000)): the pairs the termination scan checks
+and its violations.  Two checkouts print the same lines exactly when their
+outputs are identical:
 
     diff <(PYTHONPATH=old/src python3 scripts/cli_digests.py) \\
          <(PYTHONPATH=src python3 scripts/cli_digests.py)
@@ -29,7 +33,8 @@ from math import gcd
 
 from pinchcalc.cli import COMMANDS, MODES, cli_main
 from pinchcalc.families import FamilyId, family_knot
-from pinchcalc.pinch import TorusKnotParams, pinch_number
+from pinchcalc.pinch import TorusKnotParams, pinch_number, sweep_termination
+from print_pinch_tables import print_table
 
 SEED = 20201101
 WIDTHS = (8, 16, 32, 64, 128, 256)
@@ -73,8 +78,12 @@ def invocations():
         for num, den in ((4, 3), (1, 7), (1, 0)):
             yield "tangle apply", ["tangle", "apply", *map(str, (*matrix, num, den))]
     for mode in (*MODES, "bogus"):
-        for max_n in (1, 2, 5, 40):
+        for max_n in (1, 2, 5, 40, 300, 3000):
             yield "verify", ["verify", mode, "--max-n", str(max_n)]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(argv):
@@ -101,6 +110,12 @@ def main() -> None:
             counts[command] += 1
     for command, digest in digests.items():
         print(f"{digest.hexdigest()}  {command}  ({counts[command]} calls)")
+    tables = io.StringIO()
+    with redirect_stdout(tables):
+        for family in "KJ":
+            print_table(family, 12)
+    print(f"{sha256(tables.getvalue())}  print_pinch_tables.py --max-n 12")
+    print(f"{sha256(repr(sweep_termination(3000)))}  sweep_termination(3000)")
 
 
 if __name__ == "__main__":

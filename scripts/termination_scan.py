@@ -36,7 +36,7 @@ def main() -> None:
         raise SystemExit(3)
     elapsed = time.perf_counter() - t0
 
-    print(f"coprime pairs checked: {checked} (2 <= p <= q <= {args.limit})")
+    print(f"coprime pairs checked: {checked} (2 <= p < q <= {args.limit})")
     print(f"cap violations: {len(violations)}")
     for p, q, length, cap in violations[:20]:
         print(f"  ({p},{q}): length {length} > cap {cap}")

@@ -3,12 +3,14 @@
 Both families have pinch number 2n (J_1 = T(4, 1) is already unknotted),
 their pinch sequences follow one closed form, whose steps closed_form_step
 gives as plain (p, q) pairs, and four pinch moves send J_n to K_{n-2}.
+Every check reads a member's chain from pinch_runs, one inverse a chain.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 
-from .pinch import PinchRun, TorusKnotParams, pinch_move, pinch_runs
+from .pinch import PinchRun, TorusKnotParams, pinch_runs
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,15 @@ def closed_form_step(n: int, eps: int, k: int) -> tuple[int, int]:
 
 def verify_j_to_k(n: int) -> bool:
     """Check that four pinch moves send J_n to K_{n-2}, with K_0 = T(0, 1),
-    comparing (p, q) pairs in family_knot order, not up to swapping."""
+    comparing (p, q) pairs in family_knot order, not up to swapping.  The
+    fourth target is read from the rows of J_n's runs, one inverse in all;
+    a chain of fewer than four moves fails."""
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
-    cur = family_knot(FamilyId("J", n))
-    for _ in range(4):
-        cur = pinch_move(cur).target
-    if n == 2:
-        return cur == TorusKnotParams(0, 1)
-    return cur == family_knot(FamilyId("K", n - 2))
+    runs = pinch_runs(family_knot(FamilyId("J", n)))
+    fourth = next(islice((row for run in runs for row in run.rows()), 3, None), None)
+    k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
+    return fourth is not None and fourth[4:] == (k.p, k.q)
 
 
 def _k_members_on(runs: tuple[PinchRun, ...], max_n: int) -> list[int]:

@@ -52,7 +52,7 @@ class TorusKnotParams:
 
     The pair is orientation sensitive for the calculus here (witnesses and
     signs depend on the coordinate order) even though T(p, q) and T(q, p)
-    are the same knot; compare knots through canonical().
+    are the same knot; compare knots as pairs in one stated order.
     """
 
     p: int
@@ -71,10 +71,6 @@ class TorusKnotParams:
 
     def swap(self) -> "TorusKnotParams":
         return TorusKnotParams(self.q, self.p)
-
-    def canonical(self) -> "TorusKnotParams":
-        """The orientation with first coordinate <= second."""
-        return self if self.p <= self.q else self.swap()
 
     def __str__(self):
         return f"({self.p},{self.q})"

@@ -663,7 +663,7 @@ class TestSubprocessHarness:
 
     @pytest.mark.parametrize("patch, script, code, line", [
         ("", ["termination_scan.py", "--limit", "60"], 0,
-         "coprime pairs checked: 1042 (2 <= p <= q <= 60)"),
+         "coprime pairs checked: 1042 (2 <= p < q <= 60)"),
         ("", ["print_pinch_tables.py", "--max-n", "2"], 0,
          "K_1 = (4,9) -> (2,5) -> (0,1)   [2 pinches]"),
         ("", ["cli_digests.py"], 0, CLI_DIGEST_PINCH_SEQ),
@@ -726,16 +726,21 @@ class TestSubprocessHarness:
         ("", "list(PinchRun(4, 9, 2, 3, 1, 1).rows())"),
         # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
         ("", "list(PinchRun(4, 9, 1, 1, 1, 1).rows())"),
-        # the verify sections read that run's stride, not its rows
+        # closed_form and k_independence read that run's stride; j_to_k
+        # reads its rows, which read the stride first
         ("from pinchcalc import cli\n"
          "cli.pinch_runs = lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)",
          "cli.check_pinch_numbers_and_closed_form(3)"),
         ("from pinchcalc import cli, families\n"
          "families.pinch_runs = lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)",
          "cli.check_k_independence(3)"),
+        ("from pinchcalc import cli, families\n"
+         "families.pinch_runs = lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)",
+         "cli.check_j_to_k(3)"),
     ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "sweep-pinch-number",
             "pinch-move-sign", "pinch-runs-witnesses", "run-rows-coprime",
-            "run-rows-witnesses", "closed-form-bad-run", "k-independence-bad-run"])
+            "run-rows-witnesses", "closed-form-bad-run", "k-independence-bad-run",
+            "j-to-k-bad-run"])
     def test_broken_invariant_raises_under_O(self, patch, call):
         # python -O strips assert statements; the invariants must still hold
         script = (

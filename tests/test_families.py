@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pinchcalc import families
+from pinchcalc import families, pinch
 from pinchcalc.families import (
     FamilyId,
     closed_form_step,
@@ -140,6 +140,41 @@ class TestJToK:
     def test_requires_n_at_least_2(self):
         with pytest.raises(ValueError):
             verify_j_to_k(1)
+
+    @staticmethod
+    def four_moves(n):
+        """The step oracle: four pinch_move calls from J_n, one inverse each."""
+        cur = family_knot(FamilyId("J", n))
+        for _ in range(4):
+            cur = pinch_move(cur).target
+        k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
+        return cur == k
+
+    def test_matches_the_step_oracle(self):
+        for n in range(2, 301):
+            assert verify_j_to_k(n) == self.four_moves(n)
+
+    def test_one_inverse_per_member(self, monkeypatch):
+        calls = []
+        witnesses = pinch.pinch_witnesses
+
+        def counted(p, q):
+            calls.append((p, q))
+            return witnesses(p, q)
+
+        monkeypatch.setattr(pinch, "pinch_witnesses", counted)
+        for n in range(2, 41):
+            calls.clear()
+            assert verify_j_to_k(n)
+            k = family_knot(FamilyId("J", n))
+            assert calls == [(k.p, k.q)]
+
+    def test_short_chain_fails(self, monkeypatch):
+        # T(4, 9)'s real chain has two moves, not four
+        runs = pinch_runs(TorusKnotParams(4, 9))
+        assert sum(run.count for run in runs) == 2
+        monkeypatch.setattr(families, "pinch_runs", lambda k: runs)
+        assert verify_j_to_k(3) is False
 
 
 class TestKIndependence:

@@ -156,12 +156,6 @@ class TestTorusKnotParams:
         assert TorusKnotParams(4, 1).is_unknot()
         assert not TorusKnotParams(2, 3).is_unknot()
 
-    def test_canonical_and_same_knot(self):
-        k = TorusKnotParams(9, 4)
-        assert k.canonical() == TorusKnotParams(4, 9)
-        assert k.canonical() == TorusKnotParams(4, 9).canonical()
-        assert k.canonical() != TorusKnotParams(2, 5).canonical()
-
 
 class TestPinchMove:
     def test_4_9(self):
