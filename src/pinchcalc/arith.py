@@ -65,19 +65,14 @@ class ReducedFraction:
 
     def __post_init__(self):
         num, den = self.num, self.den
-        if den == 0:
-            if num == 0:
-                raise ValueError("0/0 is not a slope")
-            num = 1
-        else:
-            if den < 0:
-                num, den = -num, -den
-            g = gcd(num, den)
-            if g > 1:
-                num //= g
-                den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        g = gcd(num, den)
+        if g == 0:
+            raise ValueError("0/0 is not a slope")
+        # the sign of g moves the sign onto the numerator, and x/0 to 1/0
+        if den < 0 or den == 0 and num < 0:
+            g = -g
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
     def __str__(self):
         return f"{self.num}/{self.den}"
@@ -116,24 +111,18 @@ def cf_even_expand(f: ReducedFraction) -> EvenCF:
     # running reciprocal num/den, denominator kept positive
     num, den = (f.den, f.num) if f.num > 0 else (-f.den, -f.num)
     while True:
-        half, rem = divmod(num, 2 * den)
+        # num/den = 2 half + (rem - den)/den, the residual in [-1, 1)
+        half, rem = divmod(num + den, 2 * den)
         if rem == 0:
-            coeffs.append(2 * half)
-            break
-        if rem == den:
             raise NoEvenExpansionError(
-                f"{f}: reciprocal chain hits the odd integer {2 * half + 1}"
+                f"{f}: reciprocal chain hits the odd integer {2 * half - 1}"
             )
-        if rem < den:
-            entry = 2 * half
-            resid = rem
-        else:
-            entry = 2 * half + 2
-            resid = rem - 2 * den
-        coeffs.append(entry)
+        coeffs.append(2 * half)
+        resid = rem - den
+        if resid == 0:
+            return EvenCF(tuple(coeffs))
         # next reciprocal is den/resid; |resid| < den, so this terminates
         num, den = (den, resid) if resid > 0 else (-den, -resid)
-    return EvenCF(tuple(coeffs))
 
 
 def cf_evaluate(cf) -> ReducedFraction:

@@ -13,7 +13,9 @@ import sys
 from itertools import chain
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
-from .criteria import TheoremViolationError, counterexample_report, jvc_criterion
+from .criteria import (
+    TheoremViolationError, counterexample_report, jvc_criterion, surgery_result_knot,
+)
 from .families import (
     FamilyId,
     closed_form_step,
@@ -22,7 +24,7 @@ from .families import (
     verify_k_independence,
 )
 from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_number, pinch_runs
-from .tangles import MatSL2, is_slice_family, mat_apply, surgery_result_knot
+from .tangles import MatSL2, is_slice_family, mat_apply
 
 SCHEMA_VERSION = "1"
 

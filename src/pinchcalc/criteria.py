@@ -1,5 +1,6 @@
 """The Jabuka-Van Cott style lower-bound criterion read from the signs of a
-pinch chain, and the assembled per-family certificate.
+pinch chain, a member's band surgeries to a two-bridge knot, and the
+assembled per-family certificate.
 """
 
 from dataclasses import dataclass
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .families import FamilyId, family_knot
 from .pinch import PinchSequence, TorusKnotParams, pinch_sequence
-from .tangles import is_slice_family, surgery_result_knot
+from .tangles import TwoBridgeKnot, is_slice_family, two_bridge_normalize
 
 
 class CriterionNotApplicableError(ValueError):
@@ -48,6 +49,22 @@ class CounterexampleReport:
     slice_cf: EvenCF
     jvc_negative_count: int
     jvc_equals_pinch_minus_one: bool
+
+
+def surgery_result_knot(fid: FamilyId) -> TwoBridgeKnot:
+    """The two-bridge knot produced by the 2n-1 band surgeries on K_n or J_n.
+
+    The bands leave the union of the tangles with slopes 1/(2m+1), where
+    m = n+1 for K and n-1 for J, and 2n/(2n-1); normalizing the first slope
+    to 1/0 lands the second on 2n/(-4n(n+-1)-1).
+    """
+    if fid.is_trivial:
+        raise ValueError("J_1 is unknotted and has no band surgery description")
+    n = fid.n
+    m = n + fid.eps
+    return two_bridge_normalize(
+        ReducedFraction(1, 2 * m + 1), ReducedFraction(2 * n, 2 * n - 1)
+    )
 
 
 def counterexample_report(fid: FamilyId) -> CounterexampleReport:

@@ -363,25 +363,26 @@ def sweep_termination(limit: int) -> tuple[int, list[tuple[int, int, int, int]]]
         raise ValueError(f"limit {limit} is over the sweep bound {SWEEP_MAX_LIMIT}")
     checked = 0
     violations = []
-    for spine in range(2, (limit + 3) // 2):
-        stack = [(1, spine, 0, 1, spine - 1, 0, 1)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            a, b, na, c, d, nc, n = pop()
-            p, q = a + c, b + d
-            left = 1 + nc
-            while True:
-                checked += 1
-                if n > p // 2 + 1:
-                    violations.append((p, q, n, p // 2 + 1))
-                if q + b <= limit:
-                    push((a, b, na, p, q, n, left))
-                if q + d > limit:
-                    break
-                a, b, na, p, q, n = p, q, n, p + c, q + d, 1 + na
-            if q == limit and (pinch_witnesses(p, q) != (a, b) or (
-                    n <= p // 2 + 1 and n != pinch_number(TorusKnotParams(p, q)))):
-                raise RuntimeError(f"T({p}, {q}): tree witnesses ({a}, {b}) or pinch"
-                                   f" number {n} differ from the engines'")
+    # the right child 2/(2s-1) of each unknot 1/s, with s = 2 popped first
+    stack = [(1, spine, 0, 1, spine - 1, 0, 1)
+             for spine in reversed(range(2, (limit + 3) // 2))]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b, na, c, d, nc, n = pop()
+        p, q = a + c, b + d
+        left = 1 + nc
+        while True:
+            checked += 1
+            if n > p // 2 + 1:
+                violations.append((p, q, n, p // 2 + 1))
+            if q + b <= limit:
+                push((a, b, na, p, q, n, left))
+            if q + d > limit:
+                break
+            a, b, na, p, q, n = p, q, n, p + c, q + d, 1 + na
+        if q == limit and (pinch_witnesses(p, q) != (a, b) or (
+                n <= p // 2 + 1 and n != pinch_number(TorusKnotParams(p, q)))):
+            raise RuntimeError(f"T({p}, {q}): tree witnesses ({a}, {b}) or pinch"
+                               f" number {n} differ from the engines'")
     violations.sort()
     return checked, violations

@@ -5,7 +5,6 @@ and recognition of the slice family with expansion [k+2, k].
 from dataclasses import dataclass
 
 from .arith import EvenCF, ReducedFraction, ext_gcd
-from .families import FamilyId
 
 
 class DegenerateTangleError(ValueError):
@@ -46,11 +45,8 @@ def mat_apply(m: MatSL2, f: ReducedFraction) -> ReducedFraction:
 
 
 def least_absolute_residue(num: int, den: int) -> int:
-    """Representative of num mod den with least absolute value, ties negative."""
-    r = num % den
-    if 2 * r >= den:
-        r -= den
-    return r
+    """Representative of num mod den >= 1 with least absolute value, ties negative."""
+    return (num + den // 2) % den - den // 2
 
 
 @dataclass(frozen=True)
@@ -96,22 +92,6 @@ def two_bridge_equivalent(k1: TwoBridgeKnot, k2: TwoBridgeKnot) -> bool:
     b1 = k1.normalized.num % a
     b2 = k2.normalized.num % a
     return b1 == b2 or (b1 * b2) % a == 1 % a
-
-
-def surgery_result_knot(fid: FamilyId) -> TwoBridgeKnot:
-    """The two-bridge knot produced by the 2n-1 band surgeries on K_n or J_n.
-
-    The bands leave the union of the tangles with slopes 1/(2m+1), where
-    m = n+1 for K and n-1 for J, and 2n/(2n-1); normalizing the first slope
-    to 1/0 lands the second on 2n/(-4n(n+-1)-1).
-    """
-    if fid.is_trivial:
-        raise ValueError("J_1 is unknotted and has no band surgery description")
-    n = fid.n
-    m = n + fid.eps
-    return two_bridge_normalize(
-        ReducedFraction(1, 2 * m + 1), ReducedFraction(2 * n, 2 * n - 1)
-    )
 
 
 def is_slice_family(cf: EvenCF) -> bool:

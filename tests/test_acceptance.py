@@ -16,7 +16,7 @@ from pinchcalc.arith import (
     cf_even_expand,
 )
 from pinchcalc.cli import cli_main
-from pinchcalc.criteria import jvc_criterion, sign_sequence
+from pinchcalc.criteria import jvc_criterion, sign_sequence, surgery_result_knot
 from pinchcalc.families import (
     FamilyId,
     closed_form_step,
@@ -36,7 +36,6 @@ from pinchcalc.tangles import (
     is_slice_family,
     mat_apply,
     mat_mul,
-    surgery_result_knot,
     two_bridge_normalize,
 )
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -113,11 +114,12 @@ class TestReducedFraction:
         if num == 0 and den == 0:
             return
         f = ReducedFraction(num, den)
-        if f.den == 0:
-            assert f.num == 1
+        if den == 0:
+            assert (f.num, f.den) == (1, 0)
         else:
             assert f.den > 0
             assert gcd(f.num, f.den) == 1
+            assert Fraction(f.num, f.den) == Fraction(num, den)
 
 
 class TestEvenCF:
@@ -149,6 +151,19 @@ class TestEvenCF:
         # 7/3 = 2 + 1/3 leads to the odd integer 3 one level down
         with pytest.raises(NoEvenExpansionError):
             cf_even_expand(ReducedFraction(3, 7))
+
+    @given(st.lists(st.integers(-10**6, 10**6).filter(bool).map(lambda a: 2 * a),
+                    max_size=6),
+           st.integers(-10**6, 10**6).filter(lambda a: a not in (0, -1))
+           .map(lambda a: 2 * a + 1))
+    @example([], 3)
+    @example([-2], -3)
+    def test_odd_tail_is_named(self, entries, m):
+        # even entries |a| >= 2 then an odd |m| >= 3: the greedy expansion
+        # retraces a1..ak and halts at m, at every depth k
+        with pytest.raises(NoEvenExpansionError) as caught:
+            cf_even_expand(cf_evaluate([*entries, m]))
+        assert str(caught.value).endswith(f"hits the odd integer {m}")
 
     def test_evaluate_examples(self):
         assert cf_evaluate(EvenCF((-4, -2))) == ReducedFraction(-2, 9)

@@ -39,6 +39,13 @@ big_pairs = st.tuples(st.integers(0, 2**256), st.integers(0, 2**256)).filter(
 # moves of the pinch_move oracle per example; longer chains are checked on
 # their first ORACLE_MOVES moves and on the first move of every run
 ORACLE_MOVES = 1000
+# the pairs jvc takes, p even and q odd, both > 1, whose chains the oracle
+# covers
+jvc_pairs = st.tuples(
+    st.integers(1, 2**128).map(lambda a: 2 * a),
+    st.integers(1, 2**128).map(lambda b: 2 * b + 1),
+).filter(lambda pq: gcd(*pq) == 1
+         and pinch_number(TorusKnotParams(*pq)) <= ORACLE_MOVES)
 
 
 def move_chain(k, limit):
@@ -342,6 +349,36 @@ class TestPinchRuns:
                                "pinch_number": len(steps)},
                    "status": "ok"}
             assert out.getvalue() == json.dumps(doc, separators=(",", ":")) + "\n"
+
+    @given(jvc_pairs)
+    @example((16, 21))
+    @example((8, 9))
+    @example((2, 3))
+    @example((4, 9))
+    def test_jvc_matches_the_step_chain(self, pq):
+        oracle = move_chain(TorusKnotParams(*pq), ORACLE_MOVES)
+        signs = ["+" if s.sign > 0 else "-" for s in oracle]
+        negative = signs.count("-")
+        doc = {"schema_version": "1", "command": "jvc",
+               "inputs": {"p": pq[0], "q": pq[1]},
+               "results": {"knot": list(pq), "signs": signs,
+                           "negative_count": negative,
+                           "equals_pinch_minus_one": negative == 1},
+               "status": "ok"}
+        text = (f"sign sequence: [{','.join(signs)}]\n"
+                f"negative count: {negative}\n"
+                "lower bound reaches pinch number - 1: "
+                f"{'yes' if negative == 1 else 'no'}\n")
+
+        def printed(*form):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli_main(["jvc", *map(str, pq), *form]) == 0
+            return out.getvalue()
+
+        # every byte: jvc writes each run's signs as one repeated chunk
+        assert printed("--json") == json.dumps(doc, separators=(",", ":")) + "\n"
+        assert printed() == text
 
     @given(big_pairs)
     @example((2**256 - 1, 2**256))

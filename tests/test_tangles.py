@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pinchcalc.arith import EvenCF, ReducedFraction, cf_even_expand
+from pinchcalc.criteria import surgery_result_knot
 from pinchcalc.families import FamilyId
 from pinchcalc.tangles import (
     DegenerateTangleError,
@@ -12,7 +13,6 @@ from pinchcalc.tangles import (
     least_absolute_residue,
     mat_apply,
     mat_mul,
-    surgery_result_knot,
     two_bridge_equivalent,
     two_bridge_normalize,
 )
