@@ -3,8 +3,8 @@
 Everything here runs on unbounded Python integers; nothing wraps or rounds.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter, index
 
 
 class NotInvertibleError(ValueError):
@@ -51,8 +51,39 @@ def mod_inverse_smallest(a: int, m: int) -> int:
         ) from None
 
 
-@dataclass(frozen=True)
-class ReducedFraction:
+class Value:
+    """Base of the frozen value classes, whose fields are their __slots__:
+    equal only within one class, hashed by field, shown as Name(f=v, ...).
+    Hand-written: importing dataclasses costs a command more than its work.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class ReducedFraction(Value):
     """A reduced rational slope num/den in Q together with 1/0.
 
     The denominator is kept nonnegative with the sign on the numerator, and
@@ -60,11 +91,9 @@ class ReducedFraction:
     nonzero over zero normalizes to it.
     """
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    def __init__(self, num: int, den: int):
         g = gcd(num, den)
         if g == 0:
             raise ValueError("0/0 is not a slope")
@@ -78,19 +107,20 @@ class ReducedFraction:
         return f"{self.num}/{self.den}"
 
 
-@dataclass(frozen=True)
-class EvenCF:
+class EvenCF(Value):
     """Coefficients of an all-even continued fraction 1/(a1 + 1/(a2 + ...))."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]):
+        # index() refuses a float, which would otherwise pass as even
+        coeffs = tuple(map(index, coeffs))
+        if not coeffs:
             raise ValueError("continued fraction needs at least one entry")
-        for a in self.coeffs:
+        for a in coeffs:
             if a == 0 or a % 2 != 0:
                 raise ValueError(f"entries must be even and nonzero, got {a}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __str__(self):
         return "[" + ",".join(str(a) for a in self.coeffs) + "]"
@@ -128,11 +158,11 @@ def cf_even_expand(f: ReducedFraction) -> EvenCF:
 def cf_evaluate(cf) -> ReducedFraction:
     """Exact value of [a1, ..., ak] read as 1/(a1 + 1/(a2 + ... + 1/ak)).
 
-    Accepts an EvenCF or any sequence of nonzero integers.  Raises
-    DegenerateCFError if some tail evaluates to zero, making the next
-    reciprocal undefined.
+    Accepts an EvenCF or any sequence of nonzero integers; a non-integral
+    entry raises TypeError.  Raises DegenerateCFError if some tail evaluates
+    to zero, making the next reciprocal undefined.
     """
-    coeffs = list(cf.coeffs) if isinstance(cf, EvenCF) else [int(a) for a in cf]
+    coeffs = list(cf.coeffs) if isinstance(cf, EvenCF) else [index(a) for a in cf]
     if not coeffs:
         raise ValueError("continued fraction needs at least one entry")
     if any(a == 0 for a in coeffs):

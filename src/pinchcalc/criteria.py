@@ -3,9 +3,9 @@ pinch chain, a member's band surgeries to a two-bridge knot, and the
 assembled per-family certificate.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .arith import EvenCF, ReducedFraction, cf_even_expand
+from .arith import ReducedFraction, cf_even_expand
 from .families import FamilyId, family_knot
 from .pinch import PinchSequence, TorusKnotParams, pinch_sequence
 from .tangles import TwoBridgeKnot, is_slice_family, two_bridge_normalize
@@ -38,17 +38,13 @@ def jvc_criterion(k: TorusKnotParams) -> PinchSequence:
     return sign_sequence(k)
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    """The certificate of one member; the caller holds its FamilyId."""
+class CounterexampleReport(namedtuple("CounterexampleReport", (
+        "knot pinch_number band_count slice_fraction slice_cf"
+        " jvc_negative_count jvc_equals_pinch_minus_one"))):
+    """The certificate of one member; the caller holds its FamilyId.  A named
+    tuple, as no caller compares it with a plain tuple."""
 
-    knot: TorusKnotParams
-    pinch_number: int
-    band_count: int
-    slice_fraction: ReducedFraction
-    slice_cf: EvenCF
-    jvc_negative_count: int
-    jvc_equals_pinch_minus_one: bool
+    __slots__ = ()
 
 
 def surgery_result_knot(fid: FamilyId) -> TwoBridgeKnot:
@@ -90,12 +86,5 @@ def counterexample_report(fid: FamilyId) -> CounterexampleReport:
             f"{fid}: surgery fraction {bridge.normalized} expands to {cf}, "
             "not in the slice family"
         )
-    return CounterexampleReport(
-        knot=knot,
-        pinch_number=pinch,
-        band_count=2 * n - 1,
-        slice_fraction=bridge.normalized,
-        slice_cf=cf,
-        jvc_negative_count=chain.negative_count,
-        jvc_equals_pinch_minus_one=chain.equals_pinch_minus_one,
-    )
+    return CounterexampleReport(knot, pinch, 2 * n - 1, bridge.normalized, cf,
+                                chain.negative_count, chain.equals_pinch_minus_one)

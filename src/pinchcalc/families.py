@@ -6,25 +6,25 @@ gives as plain (p, q) pairs, and four pinch moves send J_n to K_{n-2}.
 Every check reads a member's chain from pinch_runs, one inverse a chain.
 """
 
-from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 
+from .arith import Value
 from .pinch import PinchRun, TorusKnotParams, pinch_runs
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(Value):
     """One member of the K or J family."""
 
-    family: str
-    n: int
+    __slots__ = ("family", "n")
 
-    def __post_init__(self):
-        if self.family not in ("K", "J"):
-            raise ValueError(f"family must be 'K' or 'J', got {self.family!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+    def __init__(self, family: str, n: int):
+        if family not in ("K", "J"):
+            raise ValueError(f"family must be 'K' or 'J', got {family!r}")
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
 
     @property
     def eps(self) -> int:

@@ -26,12 +26,11 @@ N_S = floor(m/2) + (N_Y if m is odd, else N_S).  The first nonempty block
 runs along the unknots j/1 or 1/j, so it leaves all three at 0.
 """
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
 
-from .arith import mod_inverse_smallest
+from .arith import Value, mod_inverse_smallest
 
 
 class InvalidKnotError(ValueError):
@@ -46,8 +45,7 @@ class IterationCapError(RuntimeError):
     """A pinch sequence ran past its provable length bound; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class TorusKnotParams:
+class TorusKnotParams(Value):
     """An ordered coprime pair (p, q) naming the torus knot T(p, q).
 
     The pair is orientation sensitive for the calculus here (witnesses and
@@ -55,16 +53,15 @@ class TorusKnotParams:
     are the same knot; compare knots as pairs in one stated order.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise InvalidKnotError(
-                f"coordinates must be nonnegative, got ({self.p}, {self.q})"
-            )
-        if gcd(self.p, self.q) != 1:
-            raise InvalidKnotError(f"({self.p}, {self.q}) is not a coprime pair")
+    def __init__(self, p: int, q: int):
+        if p < 0 or q < 0:
+            raise InvalidKnotError(f"coordinates must be nonnegative, got ({p}, {q})")
+        if gcd(p, q) != 1:
+            raise InvalidKnotError(f"({p}, {q}) is not a coprime pair")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def is_unknot(self) -> bool:
         return self.p <= 1 or self.q <= 1
@@ -76,26 +73,20 @@ class TorusKnotParams:
         return f"({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class PinchStep:
+class PinchStep(namedtuple("PinchStep", "source target t h p_minus_2t q_minus_2h sign")):
     """One pinch move, with its witnesses and both raw sign values.
 
     sign is +1 or -1: the sign of p - 2t, falling back to q - 2h when the
     former is zero.  Both cannot vanish for a coprime pair (that would force
     p and q both even), and for valid inputs the two values never have
-    opposite signs; both raws are kept so callers can audit.
+    opposite signs; both raws are kept so callers can audit.  A named tuple,
+    as no caller compares it with a plain tuple.
     """
 
-    source: TorusKnotParams
-    target: TorusKnotParams
-    t: int
-    h: int
-    p_minus_2t: int
-    q_minus_2h: int
-    sign: int
+    __slots__ = ()
 
 
-class PinchRun(NamedTuple):
+class PinchRun(namedtuple("PinchRun", "p q t h count sign")):
     """count consecutive pinch moves of one sign, the first from T(p, q).
 
     Plain ints: (p, q) is the start knot and (t, h) the witnesses of the
@@ -105,16 +96,11 @@ class PinchRun(NamedTuple):
     (p_j - u, q_j - v).  Either way each move subtracts the same stride
     from (p, q), and rows() is the one walk over the run's moves.
 
-    A NamedTuple rather than a frozen dataclass: defining one costs a
-    tenth as much at import, which every command line start pays.
+    A named tuple, not a Value: pinch_runs builds one a run, and a tuple is
+    the cheaper build.  Unlike a Value it equals the tuple of its fields.
     """
 
-    p: int
-    q: int
-    t: int
-    h: int
-    count: int
-    sign: int
+    __slots__ = ()
 
     @property
     def stride(self) -> tuple[int, int]:
@@ -156,16 +142,18 @@ class PinchRun(NamedTuple):
             p, q, t, h = p2, q2, t - dt, h - dh
 
 
-@dataclass(frozen=True)
-class PinchSequence:
+class PinchSequence(Value):
     """The chain of pinch moves from start down to an unknot, held as its runs.
 
     Counts are sums over the runs and cost O(runs); knots() and steps
     expand each move from the rows of the runs.
     """
 
-    start: TorusKnotParams
-    runs: tuple[PinchRun, ...]
+    __slots__ = ("start", "runs")
+
+    def __init__(self, start: TorusKnotParams, runs: tuple[PinchRun, ...]):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "runs", runs)
 
     @property
     def pinch_number(self) -> int:
@@ -220,15 +208,7 @@ def pinch_move(k: TorusKnotParams) -> PinchStep:
     if raw_p == 0 and raw_q == 0:
         raise RuntimeError(f"T{k}: witnesses ({t}, {h}) leave no sign")
     sign = 1 if (raw_p > 0 or (raw_p == 0 and raw_q > 0)) else -1
-    return PinchStep(
-        source=k,
-        target=TorusKnotParams(abs(raw_p), abs(raw_q)),
-        t=t,
-        h=h,
-        p_minus_2t=raw_p,
-        q_minus_2h=raw_q,
-        sign=sign,
-    )
+    return PinchStep(k, TorusKnotParams(abs(raw_p), abs(raw_q)), t, h, raw_p, raw_q, sign)
 
 
 def iteration_cap(k: TorusKnotParams) -> int:

@@ -2,28 +2,31 @@
 and recognition of the slice family with expansion [k+2, k].
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import index
 
-from .arith import EvenCF, ReducedFraction, ext_gcd
+from .arith import EvenCF, ReducedFraction, Value, ext_gcd
 
 
 class DegenerateTangleError(ValueError):
     """The two tangle slopes coincide, so the closure is a link, not a knot."""
 
 
-@dataclass(frozen=True)
-class MatSL2:
+class MatSL2(Value):
     """A 2x2 integer matrix [[a, b], [c, d]] of determinant one."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+    def __init__(self, a: int, b: int, c: int, d: int):
+        # index() refuses a float, which would fail later, inside gcd
+        a, b, c, d = index(a), index(b), index(c), index(d)
+        det = a * d - b * c
         if det != 1:
             raise ValueError(f"determinant must be 1, got {det}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "MatSL2":
@@ -49,19 +52,17 @@ def least_absolute_residue(num: int, den: int) -> int:
     return (num + den // 2) % den - den // 2
 
 
-@dataclass(frozen=True)
-class TwoBridgeKnot:
+class TwoBridgeKnot(namedtuple("TwoBridgeKnot", "t1 t2 normalized")):
     """A union of two rational tangles plus its closure fraction.
 
     normalized is the second slope after a determinant-one coordinate change
     sends the first slope to 1/0, its numerator reduced to the least
     absolute residue mod the denominator (the leftover stabilizer of 1/0
-    shifts the numerator by denominator multiples).
+    shifts the numerator by denominator multiples).  A named tuple, as no
+    caller compares it with a plain tuple.
     """
 
-    t1: ReducedFraction
-    t2: ReducedFraction
-    normalized: ReducedFraction
+    __slots__ = ()
 
     def determinant(self) -> int:
         if self.normalized.den == 0:

@@ -131,6 +131,11 @@ class TestEvenCF:
         with pytest.raises(ValueError):
             EvenCF(())
 
+    def test_rejects_non_integer_entries(self):
+        # 2.0 % 2 == 0, so a float entry would otherwise pass as even
+        with pytest.raises(TypeError):
+            EvenCF((2.0, 4.0))
+
     def test_expansion_examples(self):
         assert cf_even_expand(ReducedFraction(-2, 9)).coeffs == (-4, -2)
         assert cf_even_expand(ReducedFraction(-4, 25)).coeffs == (-6, -4)
@@ -184,6 +189,11 @@ class TestEvenCF:
             cf_evaluate([])
         with pytest.raises(ValueError):
             cf_evaluate([2, 0])
+
+    def test_evaluate_rejects_non_integer_entries(self):
+        # int() would truncate 2.5 and return 4/9, the value of [2, 4]
+        with pytest.raises(TypeError):
+            cf_evaluate([2.5, 4])
 
     @given(st.integers(-10**5, 10**5), st.integers(2, 10**5))
     @settings(max_examples=300)

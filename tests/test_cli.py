@@ -811,6 +811,17 @@ class TestPackage:
         assert proc.stdout.split() == [
             "pinchcalc", *(f"pinchcalc.{name}" for name in self.LOADS[module])]
 
+    def test_start_loads_no_dataclasses(self):
+        # the value classes are hand-written: dataclasses, and the inspect it
+        # imports, would add a few ms to every command line start
+        script = ("import sys\nbefore = set(sys.modules)\nimport pinchcalc.cli\n"
+                  "print(*sorted({'dataclasses', 'inspect'} - before & set(sys.modules)))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=TestSubprocessHarness.env, check=True,
+        )
+        assert proc.stdout.split() == []
+
 
 class TestVerifyAll:
     def test_document_shape(self):
@@ -844,13 +855,13 @@ class TestVerifyAll:
 
     def test_closed_form_builds_one_knot_per_member(self, monkeypatch):
         built = []
-        check = TorusKnotParams.__post_init__
+        init = TorusKnotParams.__init__
 
-        def counted(knot):
-            built.append((knot.p, knot.q))
-            check(knot)
+        def counted(knot, p, q):
+            built.append((p, q))
+            init(knot, p, q)
 
-        monkeypatch.setattr(TorusKnotParams, "__post_init__", counted)
+        monkeypatch.setattr(TorusKnotParams, "__init__", counted)
         section = cli.check_pinch_numbers_and_closed_form(30)
         assert section == {"checked": 59, "violations": []}
         # each member's start, K_1..K_30 then J_2..J_30, and no knot per step

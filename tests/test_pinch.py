@@ -401,13 +401,13 @@ class TestPinchRuns:
 
     def test_builds_no_knot_after_the_start(self, monkeypatch):
         built = []
-        check = TorusKnotParams.__post_init__
+        init = TorusKnotParams.__init__
 
-        def counted(knot):
-            built.append((knot.p, knot.q))
-            check(knot)
+        def counted(knot, p, q):
+            built.append((p, q))
+            init(knot, p, q)
 
-        monkeypatch.setattr(TorusKnotParams, "__post_init__", counted)
+        monkeypatch.setattr(TorusKnotParams, "__init__", counted)
         pq = wide_pairs(4096, 1, seed=1)[0]
         assert len(pinch_runs(TorusKnotParams(*pq))) >= 2
         # the one knot is the caller's start

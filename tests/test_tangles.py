@@ -48,6 +48,11 @@ class TestMatSL2:
         with pytest.raises(ValueError):
             MatSL2(2, 0, 0, 2)
 
+    def test_rejects_non_integer_entries(self):
+        # 1.0 * 1 - 0 * 0 == 1 passes the determinant, then fails in gcd
+        with pytest.raises(TypeError):
+            MatSL2(1.0, 0, 0, 1)
+
     def test_apply_examples(self):
         m = MatSL2(1, 0, -7, 1)
         assert mat_apply(m, ReducedFraction(1, 7)) == ReducedFraction(1, 0)
