@@ -66,13 +66,15 @@ def _yesno(flag: bool) -> str:
 
 
 def _json_value(obj):
-    """Knots, fractions and continued fractions as JSON arrays."""
+    r"""Knots, fractions and continued fractions as JSON arrays; a JSONText as "\0"."""
     if isinstance(obj, TorusKnotParams):
         return [obj.p, obj.q]
     if isinstance(obj, ReducedFraction):
         return [obj.num, obj.den]
     if isinstance(obj, EvenCF):
         return list(obj.coeffs)
+    if isinstance(obj, JSONText):
+        return "\0"
     raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 
@@ -89,11 +91,11 @@ def _document(command, inputs, results, status):
 class JSONText:
     """A value of a document's results given as JSON text, in chunks.
 
-    to_json writes the chunks verbatim, in order, in the value's place when
-    the value sits directly in the results dict; anywhere else it has no
-    JSON form.  The chunks are drawn only then, so a handler can return one
-    built from a generator and pay for it only when the document is encoded
-    (a generator is drawn once, so such a document is encoded once).
+    Directly in the results dict, to_json writes the chunks verbatim, in
+    order, in its place; anywhere else it is an internal error.  The chunks
+    are drawn only then, so a handler can return one built from a generator
+    and pay for it only when the document is encoded (a generator is drawn
+    once, so such a document is encoded once).
     """
 
     __slots__ = ("chunks",)
@@ -102,37 +104,21 @@ class JSONText:
         self.chunks = chunks
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, separators=(",", ":"), default=_json_value)
-
-
-def _object_chunks(mapping: dict) -> list[str]:
-    """mapping as JSON object text, in chunks: json.dumps on each key and on
-    each value, except that a JSONText value is written verbatim."""
-    chunks = ["{"]
-    for i, (key, value) in enumerate(mapping.items()):
-        chunks.append(f"{',' if i else ''}{_dumps(key)}:")
-        if isinstance(value, JSONText):
-            chunks += value.chunks
-        else:
-            chunks.append(_dumps(value))
-    chunks.append("}")
-    return chunks
-
-
 def to_json(doc: dict) -> str:
-    """doc as compact JSON text.
-
-    A document whose results hold no JSONText value takes one json.dumps
-    call.  Otherwise each JSONText value of doc["results"] is written
-    verbatim in its place, and the document is joined from its parts, with
-    json.dumps on each key and on each other value.
-    """
-    results = doc["results"]
-    if not any(isinstance(value, JSONText) for value in results.values()):
-        return _dumps(doc)
-    parts = {**doc, "results": JSONText(_object_chunks(results))}
-    return "".join(_object_chunks(parts))
+    r"""doc as compact JSON text: one json.dumps call, in which each JSONText
+    value of doc["results"] is the slot "\u0000" that its chunks replace.
+    Any other slot (a JSONText elsewhere, or a string "\0") raises
+    RuntimeError, an internal error."""
+    texts = [v for v in doc["results"].values() if isinstance(v, JSONText)]
+    dumped = json.dumps(doc, separators=(",", ":"), default=_json_value)
+    head, *tails = dumped.split('"\\u0000"')
+    # no document string is "\0": inputs are ints or argparse choices, result
+    # strings family letters, signs, member names, statuses and error messages
+    if len(tails) != len(texts):
+        raise RuntimeError(f"JSON text slots: {len(tails)}, JSONText values: {len(texts)}")
+    # one join: a list grown by += from the chunks raises SystemError on exhausted memory
+    return "".join(chain([head], *(chain(t.chunks, [tail])
+                                   for t, tail in zip(texts, tails))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Every check reads a member's chain from pinch_runs, one inverse a chain.
 
 from itertools import islice
 from math import isqrt
+from operator import index
 
 from .arith import Value
 from .pinch import PinchRun, TorusKnotParams, pinch_runs
@@ -21,6 +22,7 @@ class FamilyId(Value):
     def __init__(self, family: str, n: int):
         if family not in ("K", "J"):
             raise ValueError(f"family must be 'K' or 'J', got {family!r}")
+        n = index(n)  # refuses a float, which would fail later, inside gcd
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
         object.__setattr__(self, "family", family)
@@ -53,6 +55,8 @@ def closed_form_step(n: int, eps: int, k: int) -> tuple[int, int]:
     and PinchSequence.knots(); k = 2n gives (0, 1), the unknot.  eps is +1
     on the K branch and -1 on the J branch.
     """
+    # index() refuses a float, which would otherwise give a float pair
+    n, eps, k = index(n), index(eps), index(k)
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     if n < 1:

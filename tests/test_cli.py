@@ -7,11 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pinchcalc
 from pinchcalc import cli, criteria, pinch
 from pinchcalc.cli import cli_main, fmt_fraction, verify_all
-from pinchcalc.arith import ReducedFraction
+from pinchcalc.arith import EvenCF, ReducedFraction
 from pinchcalc.pinch import PinchRun, TorusKnotParams
 
 
@@ -458,6 +460,59 @@ class TestGoldenJson:
     def test_document(self, capsys, monkeypatch, argv, patch, code, out, err):
         patch(monkeypatch)
         assert run_cli(capsys, *argv) == (code, out, err)
+
+
+# what a results dict holds: ints, bools, strings, lists, knots, fractions and
+# even continued fractions; no string is "\0", the slot to_json splits on
+strings = st.text(st.characters(exclude_characters="\0"), max_size=8)
+values = st.recursive(
+    st.one_of(
+        st.integers(), st.booleans(), strings,
+        st.builds(lambda p, k: TorusKnotParams(p, k * p + 1),
+                  st.integers(0, 10**20), st.integers(0, 10**20)),
+        st.builds(ReducedFraction, st.integers(), st.integers(1)),
+        st.lists(st.integers().filter(bool).map(lambda a: 2 * a),
+                 min_size=1, max_size=4).map(EvenCF),
+    ),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=12,
+)
+
+
+def compact(value):
+    return json.dumps(value, separators=(",", ":"), default=cli._json_value)
+
+
+class TestToJson:
+    @given(st.data())
+    def test_splice_equals_one_plain_encoding(self, data):
+        # 0, 1 or 2 values of the results, at any places, given as JSONText:
+        # each one's compact JSON, cut into chunks at random points
+        results = data.draw(st.dictionaries(strings, values, max_size=6))
+        keys = data.draw(st.sets(st.sampled_from(list(results)), max_size=2)
+                         if results else st.just(set()))
+        spliced = dict(results)
+        for key in keys:
+            text = compact(results[key])
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=4)))
+            spliced[key] = cli.JSONText(
+                iter([text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]))
+        inputs = data.draw(st.dictionaries(strings, st.integers(), max_size=2))
+        assert cli.to_json(cli._document("cmd", inputs, spliced, "ok")) == compact(
+            cli._document("cmd", inputs, results, "ok"))
+
+    @pytest.mark.parametrize("results, slots, texts", [
+        ({"steps": [cli.JSONText(["[]"])]}, 1, 0),
+        ({"sign": "\0", "steps": cli.JSONText(["[]"])}, 2, 1),
+    ], ids=["in-a-list", "beside-a-nul-string"])
+    def test_a_slot_without_its_value_is_an_internal_error(
+            self, capsys, monkeypatch, results, slots, texts):
+        _, help_text, arguments = cli.COMMANDS["pinch-number"]
+        monkeypatch.setitem(cli.COMMANDS, "pinch-number", (
+            lambda p, q: (results, [], "ok"), help_text, arguments))
+        message = f"JSON text slots: {slots}, JSONText values: {texts}"
+        assert run_cli(capsys, "pinch-number", "4", "9", "--json") == (
+            3, doc("pinch-number", "", f'"error":"{message}"', "error"),
+            f"pinchcalc: {message}\n")
 
 
 class TestTextOutput:

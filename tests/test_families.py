@@ -29,6 +29,16 @@ class TestFamilyId:
         with pytest.raises(ValueError):
             FamilyId("L", 3)
 
+    def test_n_must_be_an_integer(self):
+        # a float n would be built and fail only later, inside gcd
+        with pytest.raises(TypeError):
+            FamilyId("K", 2.0)
+
+    def test_bool_n_is_its_integer(self):
+        fid = FamilyId("J", True)
+        assert type(fid.n) is int and fid.n == 1
+        assert str(fid) == "J_1" and fid.is_trivial
+
     def test_triviality(self):
         assert FamilyId("J", 1).is_trivial
         assert not FamilyId("J", 2).is_trivial
@@ -67,6 +77,13 @@ class TestClosedForm:
             closed_form_step(3, 2, 1)
         with pytest.raises(ValueError):
             closed_form_step(0, 1, 0)
+
+    @pytest.mark.parametrize("n, eps, k", [(2, 1, 1.5), (2, 1.0, 1), (2.0, 1, 1)],
+                             ids=["float-k", "float-eps", "float-n"])
+    def test_arguments_must_be_integers(self, n, eps, k):
+        # a float k gave (5.0, 16.0), and a float eps passed the +-1 check
+        with pytest.raises(TypeError):
+            closed_form_step(n, eps, k)
 
     @given(st.integers(1, 500), st.sampled_from((1, -1)), st.integers(0, 1000))
     def test_product_identity(self, n, eps, k):
