@@ -28,27 +28,6 @@ from .tangles import MatSL2, is_slice_family, mat_apply
 
 SCHEMA_VERSION = "1"
 
-# Frozen expected pinch sequences for the small family members.  Kept as
-# literal rows on purpose: the verify machinery diffs freshly computed
-# sequences against data the engine cannot influence.
-REFERENCE_ROWS_K = {
-    1: [(4, 9), (2, 5), (0, 1)],
-    2: [(8, 25), (6, 19), (4, 13), (2, 7), (0, 1)],
-    3: [(12, 49), (10, 41), (8, 33), (6, 25), (4, 17), (2, 9), (0, 1)],
-    4: [(16, 81), (14, 71), (12, 61), (10, 51), (8, 41), (6, 31), (4, 21),
-        (2, 11), (0, 1)],
-    5: [(20, 121), (18, 109), (16, 97), (14, 85), (12, 73), (10, 61), (8, 49),
-        (6, 37), (4, 25), (2, 13), (0, 1)],
-}
-REFERENCE_ROWS_J = {
-    2: [(8, 9), (6, 7), (4, 5), (2, 3), (0, 1)],
-    3: [(12, 25), (10, 21), (8, 17), (6, 13), (4, 9), (2, 5), (0, 1)],
-    4: [(16, 49), (14, 43), (12, 37), (10, 31), (8, 25), (6, 19), (4, 13),
-        (2, 7), (0, 1)],
-    5: [(20, 81), (18, 73), (16, 65), (14, 57), (12, 49), (10, 41), (8, 33),
-        (6, 25), (4, 17), (2, 9), (0, 1)],
-}
-
 
 def fmt_fraction(f: ReducedFraction) -> str:
     """p/q with the sign shown on the denominator, e.g. 2/-9 for (-2, 9)."""
@@ -290,6 +269,27 @@ def run_report(family, n):
 # ---------------------------------------------------------------------------
 # verification harness: each section checks the range on its own
 
+# Frozen expected pinch sequences for the small family members.  Kept as
+# literal rows on purpose: the verify machinery diffs the sequence of each
+# member's knot, from family_knot, against data the engine cannot influence.
+REFERENCE_ROWS_K = {
+    1: [(4, 9), (2, 5), (0, 1)],
+    2: [(8, 25), (6, 19), (4, 13), (2, 7), (0, 1)],
+    3: [(12, 49), (10, 41), (8, 33), (6, 25), (4, 17), (2, 9), (0, 1)],
+    4: [(16, 81), (14, 71), (12, 61), (10, 51), (8, 41), (6, 31), (4, 21),
+        (2, 11), (0, 1)],
+    5: [(20, 121), (18, 109), (16, 97), (14, 85), (12, 73), (10, 61), (8, 49),
+        (6, 37), (4, 25), (2, 13), (0, 1)],
+}
+REFERENCE_ROWS_J = {
+    2: [(8, 9), (6, 7), (4, 5), (2, 3), (0, 1)],
+    3: [(12, 25), (10, 21), (8, 17), (6, 13), (4, 9), (2, 5), (0, 1)],
+    4: [(16, 49), (14, 43), (12, 37), (10, 31), (8, 25), (6, 19), (4, 13),
+        (2, 7), (0, 1)],
+    5: [(20, 81), (18, 73), (16, 65), (14, 57), (12, 49), (10, 41), (8, 33),
+        (6, 25), (4, 17), (2, 9), (0, 1)],
+}
+
 # the largest --max-n verified; `verify all` reads each member's runs, one
 # run of 2n moves, so it costs about linearly in N (about 0.2 s at 3000)
 VERIFY_MAX_N = 3000
@@ -303,13 +303,13 @@ def _members(max_n: int):
 
 
 def check_reference_tables() -> dict:
-    """Diff freshly computed pinch sequences against the frozen rows."""
+    """Diff the pinch sequence of each member's knot against its frozen row."""
     out = {}
     for family, rows in (("K", REFERENCE_ROWS_K), ("J", REFERENCE_ROWS_J)):
         matched = 0
         mismatches = []
         for n, expected in sorted(rows.items()):
-            start = TorusKnotParams(*expected[0])
+            start = family_knot(FamilyId(family, n))
             chain = PinchSequence(start, pinch_runs(start)).knots()
             if chain == expected:
                 matched += 1
@@ -416,12 +416,12 @@ def _violations(section: dict) -> list:
     return [m for family in section.values() for m in family["mismatches"]]
 
 
-def verify_all(max_n: int, mode: str = "all") -> dict:
+def verify_all(max_n: int, mode: str) -> tuple[dict, str]:
     """Run the sections of one mode, in document order, and aggregate violations.
 
-    Returns a full report document; status is "violation" when any section
-    found one, "ok" otherwise.  Raises ValueError for a mode not in MODES,
-    and for max_n below 2 or above VERIFY_MAX_N.
+    Returns (results, status): the section results by key, and "violation"
+    when any section found one, "ok" otherwise.  Raises ValueError for a
+    mode not in MODES, and for max_n below 2 or above VERIFY_MAX_N.
     """
     if mode not in MODES:
         raise ValueError(f"unknown verify mode {mode!r}, expected one of {list(MODES)}")
@@ -431,14 +431,14 @@ def verify_all(max_n: int, mode: str = "all") -> dict:
         raise ValueError(f"max_n {max_n} is over the verify bound {VERIFY_MAX_N}")
     results = {key: SECTIONS[key][0](max_n) for key in MODES[mode]}
     status = "violation" if any(map(_violations, results.values())) else "ok"
-    return _document("verify", {"mode": mode, "max_n": max_n}, results, status)
+    return results, status
 
 
 def run_verify(mode, max_n):
-    doc = verify_all(max_n, mode)
+    results, status = verify_all(max_n, mode)
     text = [SECTIONS[key][1].format(**sec, count=len(_violations(sec)), max_n=max_n)
-            for key, sec in doc["results"].items()]
-    return doc["results"], text + [f"status: {doc['status']}"], doc["status"]
+            for key, sec in results.items()]
+    return results, text + [f"status: {status}"], status
 
 
 # ---------------------------------------------------------------------------

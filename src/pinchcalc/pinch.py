@@ -170,8 +170,9 @@ class PinchSequence(Value):
 
     @property
     def steps(self) -> tuple[PinchStep, ...]:
-        """Every move as a PinchStep, from the rows; only the benchmark's
-        tracer (perfbench/spans.py) reads it, to count each chain's runs."""
+        """Every move as a PinchStep, from the rows.  Read only by the
+        benchmark's tracer (perfbench/spans.py), to count each chain's runs,
+        and by tests/test_pinch.py, which checks it against the step oracle."""
         steps, source = [], self.start
         for run in self.runs:
             for p, q, t, h, c, d in run.rows():

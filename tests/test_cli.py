@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -69,6 +70,13 @@ COROLLARIES = (
     '"k_independence":{"checked":5,"violations":[]}'
 )
 REPORTS_OK = '"reports":{"checked":9,"violations":[]}'
+# the tables when K_2 is T(8, 27): its chain is diffed against K_2's row
+TABLES_K_2_PINCHES_TWICE = (
+    '"tables":{"K":{"matched":4,"total":5,"mismatches":['
+    '{"n":2,"expected":[[8,25],[6,19],[4,13],[2,7],[0,1]],'
+    '"got":[[8,27],[2,7],[0,1]]}]},'
+    '"J":{"matched":4,"total":4,"mismatches":[]}}'
+)
 SLICE_VIOLATION_K_2 = (
     "K_2: surgery fraction -4/25 expands to [-6,-4], not in the slice family"
 )
@@ -352,7 +360,7 @@ GOLDEN = [
     pytest.param(
         ["verify", "all", "--max-n", "2", "--json"], k_2_pinches_twice(cli), 1,
         doc("verify", '"mode":"all","max_n":2',
-            f"{TABLES},"
+            f"{TABLES_K_2_PINCHES_TWICE},"
             '"closed_form":{"checked":2,"violations":['
             '{"member":"K_2","pinch_number":2,"expected":4}]},'
             '"j_to_k":{"checked":1,"violations":[]},'
@@ -362,7 +370,7 @@ GOLDEN = [
     ),
     pytest.param(
         ["verify", "all", "--max-n", "2"], k_2_pinches_twice(cli), 1,
-        "K: 5/5 rows match, J: 4/4 rows match\n"
+        "K: 4/5 rows match, J: 4/4 rows match\n"
         "pinch numbers and closed form: 2 sequences checked, 1 violations (n <= 2)\n"
         "four pinches J_n -> K_(n-2): 1 checked, 0 violations\n"
         "K sequences avoid other K members: m, n <= 2, 0 collisions\n"
@@ -866,6 +874,15 @@ class TestPackage:
         assert proc.stdout.split() == [
             "pinchcalc", *(f"pinchcalc.{name}" for name in self.LOADS[module])]
 
+    def test_no_module_asserts(self):
+        # python -O strips assert statements, so no invariant may rest on one
+        src = Path(__file__).resolve().parents[1] / "src"
+        asserts = [f"{path.relative_to(src)}:{node.lineno}"
+                   for path in sorted(src.rglob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Assert)]
+        assert asserts == []
+
     def test_start_loads_no_dataclasses(self):
         # the value classes are hand-written: dataclasses, and the inspect it
         # imports, would add a few ms to every command line start
@@ -880,29 +897,33 @@ class TestPackage:
 
 class TestVerifyAll:
     def test_document_shape(self):
-        doc = verify_all(5)
-        assert doc["status"] == "ok"
-        assert set(doc["results"]) == {
+        # what cli_main puts in the document: its results and its status
+        results, status = verify_all(5, "all")
+        assert status == "ok"
+        assert list(results) == [
             "tables", "closed_form", "j_to_k", "k_independence", "reports",
-        }
+        ]
+        # the mode is always given: the one caller, run_verify, has it
+        mode = inspect.signature(verify_all).parameters["mode"]
+        assert mode.default is inspect.Parameter.empty
 
     def test_modes(self):
-        assert set(verify_all(5, "tables")["results"]) == {"tables"}
-        assert set(verify_all(5, "corollaries")["results"]) == {
+        assert list(verify_all(5, "tables")[0]) == ["tables"]
+        assert list(verify_all(5, "corollaries")[0]) == [
             "j_to_k", "k_independence",
-        }
+        ]
         with pytest.raises(ValueError, match="'bogus'"):
             verify_all(5, "bogus")
 
     def test_rejects_small_range(self):
         with pytest.raises(ValueError):
-            verify_all(1)
+            verify_all(1, "all")
 
     def test_refuses_range_over_bound(self, monkeypatch):
         # `verify all` reads runs, not moves: about 0.2 s at N = 3000
         assert cli.VERIFY_MAX_N == 3000
         monkeypatch.setattr(cli, "VERIFY_MAX_N", 10)
-        assert verify_all(10)["status"] == "ok"
+        assert verify_all(10, "all")[1] == "ok"
         # every mode is refused, tables too, though it does not read N
         for mode in cli.MODES:
             with pytest.raises(ValueError, match="max_n 11 is over the verify bound 10"):
@@ -951,6 +972,43 @@ class TestVerifyAll:
 
     def test_a_j_table_mismatch_is_a_violation(self, monkeypatch):
         monkeypatch.setitem(cli.REFERENCE_ROWS_J, 2, [(8, 9), (0, 1)])
-        doc = verify_all(2, "tables")
-        assert doc["status"] == "violation"
-        assert [m["n"] for m in doc["results"]["tables"]["J"]["mismatches"]] == [2]
+        results, status = verify_all(2, "tables")
+        assert status == "violation"
+        assert [m["n"] for m in results["tables"]["J"]["mismatches"]] == [2]
+
+    def test_a_row_filed_under_another_member_is_a_mismatch(self, capsys, monkeypatch):
+        # each chain starts at the member's knot, not at its row's first pair
+        monkeypatch.setitem(cli.REFERENCE_ROWS_K, 3, cli.REFERENCE_ROWS_K[4])
+        code, out, _ = run_cli(capsys, "verify", "tables", "--json")
+        assert code == 1
+        tables = json.loads(out)["results"]["tables"]
+        assert tables["K"]["matched"] == 4
+        assert [(m["n"], m["got"][0]) for m in tables["K"]["mismatches"]] == [
+            (3, [12, 49])]
+
+    def test_the_harness_is_one_block_apart_from_the_rest(self):
+        # REFERENCE_ROWS_K through verify_all can move to a module of its
+        # own: it reads no name that the rest of cli.py defines (what it
+        # imports from other modules moves with it), and only cli_main
+        # builds a document
+        body = ast.parse(Path(cli.__file__).read_text()).body
+
+        def bound(stmt):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                return {stmt.name}
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+                [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+        first = next(i for i, stmt in enumerate(body) if "REFERENCE_ROWS_K" in bound(stmt))
+        last = next(i for i, stmt in enumerate(body) if "verify_all" in bound(stmt))
+        block, rest = body[first:last + 1], body[:first] + body[last + 1:]
+        outside = set().union(*map(bound, rest))
+        loaded = {n.id for stmt in block for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assert loaded & outside == set()
+        callers = {stmt.name if isinstance(stmt, ast.FunctionDef) else stmt.lineno
+                   for stmt in body for n in ast.walk(stmt)
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "_document"}
+        assert callers == {"cli_main"}
