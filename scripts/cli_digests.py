@@ -8,18 +8,19 @@ its command.  The set: the knot commands on coprime pairs of 8 to 256 bits
 member commands on K_n and J_n for n <= 29 and jvc on their knots (one run
 of 2n negative moves each), both tangle commands on a few fractions, and
 verify in every mode at --max-n 1, 2, 5, 40, 300 and 3000, the verify
-bound.  Two more lines digest the pinch tables that print_pinch_tables.py
-prints for K and J at --max-n 12 (each chain from PinchSequence.knots()),
-and repr(sweep_termination(3000)): the pairs the termination scan checks
-and its violations.  Two checkouts print the same lines exactly when their
-outputs are identical:
+bound.  The line "verify usage" digests verify with the mode "bogus" at
+those bounds, argparse's usage error.  Two more lines digest the pinch
+tables that print_pinch_tables.py prints for K and J at --max-n 12 (each
+chain from PinchSequence.knots()), and repr(sweep_termination(3000)): the
+pairs the termination scan checks and its violations.  Two checkouts print
+the same lines exactly when their outputs are identical:
 
     diff <(PYTHONPATH=old/src python3 scripts/cli_digests.py) \\
          <(PYTHONPATH=src python3 scripts/cli_digests.py)
 
 Compare two checkouts under one interpreter: argparse words its usage
 errors differently from one Python patch release to another, so the
-verify digest depends on the interpreter.  The first line names it.
+"verify usage" digest depends on the interpreter.  The first line names it.
 """
 
 import argparse
@@ -59,7 +60,7 @@ def random_pairs(rng):
 
 
 def invocations():
-    """(command, argv) for every invocation, in a fixed order."""
+    """(digest line, argv) for every invocation, in a fixed order."""
     rng = random.Random(SEED)
     grid = [(p, q) for p in range(-1, 12) for q in range(-1, 12)]
     for pair in grid + random_pairs(rng):
@@ -79,7 +80,8 @@ def invocations():
             yield "tangle apply", ["tangle", "apply", *map(str, (*matrix, num, den))]
     for mode in (*MODES, "bogus"):
         for max_n in (1, 2, 5, 40, 300, 3000):
-            yield "verify", ["verify", mode, "--max-n", str(max_n)]
+            line = "verify" if mode in MODES else "verify usage"
+            yield line, ["verify", mode, "--max-n", str(max_n)]
 
 
 def sha256(text):
@@ -99,17 +101,18 @@ def main() -> None:
                             ).parse_args()
     # argparse wraps usage errors to the terminal width
     os.environ["COLUMNS"] = "80"
-    digests = {command: hashlib.sha256() for command in COMMANDS}
-    counts = dict.fromkeys(COMMANDS, 0)
+    lines = [*COMMANDS, "verify usage"]
+    digests = {line: hashlib.sha256() for line in lines}
+    counts = dict.fromkeys(lines, 0)
     print(f"python {platform.python_version()}")
-    for command, argv in invocations():
+    for line, argv in invocations():
         for form in (argv, [*argv, "--json"]):
             code, out, err = run(form)
             record = "\0".join([" ".join(form), str(code), out, err, ""])
-            digests[command].update(record.encode())
-            counts[command] += 1
-    for command, digest in digests.items():
-        print(f"{digest.hexdigest()}  {command}  ({counts[command]} calls)")
+            digests[line].update(record.encode())
+            counts[line] += 1
+    for line, digest in digests.items():
+        print(f"{digest.hexdigest()}  {line}  ({counts[line]} calls)")
     tables = io.StringIO()
     with redirect_stdout(tables):
         for family in "KJ":

@@ -6,8 +6,9 @@ Stern-Brocot tree and reports any pair whose sequence length exceeds
 min(p, q) // 2 + 1, then the pairs checked per second and the peak RSS.
 Memory grows linearly with the limit and time quadratically.  A limit above
 SWEEP_MAX_LIMIT (23169, about 1.6e8 pairs) is refused with exit code 2,
-because of the time it would take.  An internal error, a failed self-check
-of the walk, exits with code 3; violations exit with code 1.
+because of the time it would take.  Any other error, such as a failed
+self-check of the walk, is internal and exits with code 3; violations exit
+with code 1.
 
 Example:
     python3 scripts/termination_scan.py --limit 5000
@@ -31,8 +32,9 @@ def main() -> None:
         checked, violations = sweep_termination(args.limit)
     except ValueError as exc:
         ap.error(str(exc))
-    except RuntimeError as exc:
-        print(f"termination_scan.py: internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        message = str(exc) or type(exc).__name__
+        print(f"termination_scan.py: internal error: {message}", file=sys.stderr)
         raise SystemExit(3)
     elapsed = time.perf_counter() - t0
 

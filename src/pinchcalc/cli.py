@@ -517,6 +517,12 @@ def cli_main(argv=None) -> int:
     inputs.pop("tangle_op", None)
     as_json = inputs.pop("json", False)
     quiet = inputs.pop("quiet", False)
+    # argparse refuses an int argument wider than the interpreter's limit on
+    # int-to-str digits (4300 by default), which bounds the input; an output
+    # may still be wider, so the limit is lifted while it is built
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if max_digits:
+        sys.set_int_max_str_digits(0)
     try:
         results, text, status = COMMANDS[command][0](**inputs)
         # the whole output is built before any of it prints, also under
@@ -526,22 +532,25 @@ def cli_main(argv=None) -> int:
             out = to_json(_document(command, inputs, results, status))
         else:
             out = "\n".join(text)
-    except (ValueError, RuntimeError, MemoryError, OverflowError) as exc:
-        # a failed theorem check is a violation (1), bad input or exhausted
-        # memory an error (2), and any other runtime error an internal bug (3)
-        if isinstance(exc, TheoremViolationError):
-            status, code = "violation", 1
-        else:
-            status, code = "error", 3 if isinstance(exc, RuntimeError) else 2
+    except Exception as exc:
         # an output too large to hold: MemoryError, or OverflowError for a
         # length past the address space.  str(MemoryError()) is empty
         too_large = isinstance(exc, (MemoryError, OverflowError))
-        message = "out of memory" if too_large else str(exc)
+        # a failed theorem check is a violation (1), bad input or exhausted
+        # memory an error (2), and anything else an internal bug (3)
+        if isinstance(exc, TheoremViolationError):
+            status, code = "violation", 1
+        else:
+            status, code = "error", 2 if too_large or isinstance(exc, ValueError) else 3
+        message = "out of memory" if too_large else str(exc) or type(exc).__name__
         if not quiet:
             if as_json:
                 print(to_json(_document(command, {}, {status: message}, status)))
             print(f"pinchcalc: {message}", file=sys.stderr)
         return code
+    finally:
+        if max_digits:
+            sys.set_int_max_str_digits(max_digits)
 
     if not quiet:
         print(out)

@@ -1,0 +1,76 @@
+"""Slow references and engine probes, each defined once for the whole suite.
+
+move_chain (one pinch_move per move) checks pinch_sequence, the rows of
+pinch_runs, jvc, pinch_number, the sweep and verify_j_to_k; scan_witnesses
+(a linear scan) checks pinch_witnesses and the witnesses of pinch_move;
+per_run_runs (an inverse at every run start) checks the witnesses that
+pinch_runs carries from run to run.  The probes wrap an engine function and
+record its calls: count_witness_calls counts inverses and count_knot_builds
+the TorusKnotParams built.
+"""
+
+from pinchcalc import pinch
+from pinchcalc.pinch import PinchRun, TorusKnotParams, pinch_move, pinch_witnesses
+
+
+def move_chain(k, limit):
+    """Step oracle: up to limit moves from k, one pinch_move each."""
+    steps = []
+    while not k.is_unknot() and len(steps) < limit:
+        steps.append(pinch_move(k))
+        k = steps[-1].target
+    return steps
+
+
+def scan_witnesses(p, q):
+    """Witness oracle: the first t with q*t = -1 (mod p) and the first h with
+    p*h = 1 (mod q), found by linear scan."""
+    t = next(v for v in range(p) if (v * q + 1) % p == 0)
+    h = next(v for v in range(q) if (v * p - 1) % q == 0)
+    return t, h
+
+
+def per_run_runs(k):
+    """Reference engine: the runs of k with pinch_witnesses at every run start."""
+    runs = []
+    while not k.is_unknot():
+        t, h = pinch_witnesses(k.p, k.q)
+        if k.p > 2 * t:
+            sign, count = 1, (k.p - 1) // (2 * t)
+        else:
+            sign, count = -1, k.p // (2 * (k.p - t))
+        runs.append(PinchRun(k.p, k.q, t, h, count, sign))
+        k = TorusKnotParams(*run_end(runs[-1]))
+    return tuple(runs)
+
+
+def run_end(run):
+    """The (p, q) a run's last move reaches: its start less count strides."""
+    dp, dq = run.stride
+    return run.p - run.count * dp, run.q - run.count * dq
+
+
+def count_witness_calls(monkeypatch):
+    """Wrap pinch.pinch_witnesses; the returned list collects each call's (p, q)."""
+    calls = []
+    witnesses = pinch.pinch_witnesses
+
+    def counted(p, q):
+        calls.append((p, q))
+        return witnesses(p, q)
+
+    monkeypatch.setattr(pinch, "pinch_witnesses", counted)
+    return calls
+
+
+def count_knot_builds(monkeypatch):
+    """Wrap TorusKnotParams.__init__; the returned list collects each knot's (p, q)."""
+    built = []
+    init = TorusKnotParams.__init__
+
+    def counted(knot, p, q):
+        built.append((p, q))
+        init(knot, p, q)
+
+    monkeypatch.setattr(TorusKnotParams, "__init__", counted)
+    return built

@@ -39,6 +39,8 @@ from pinchcalc.tangles import (
     two_bridge_normalize,
 )
 
+from oracles import scan_witnesses
+
 EXPECTED_ROWS_K = {
     1: [(4, 9), (2, 5), (0, 1)],
     2: [(8, 25), (6, 19), (4, 13), (2, 7), (0, 1)],
@@ -162,9 +164,7 @@ def test_c08_witness_oracle():
         if gcd(p, q) != 1:
             continue
         step = pinch_move(TorusKnotParams(p, q))
-        t = next(v for v in range(p) if (v * q + 1) % p == 0)
-        h = next(v for v in range(q) if (v * p - 1) % q == 0)
-        ok &= (step.t, step.h) == (t, h)
+        ok &= (step.t, step.h) == scan_witnesses(p, q)
         checked += 1
     assert report(8, "witnesses match linear scan oracle", ok)
 

@@ -17,6 +17,8 @@ from pinchcalc.cli import cli_main, fmt_fraction, verify_all
 from pinchcalc.arith import EvenCF, ReducedFraction
 from pinchcalc.pinch import PinchRun, TorusKnotParams
 
+from oracles import count_knot_builds
+
 
 def doc(command, inputs, results, status="ok"):
     """A report document as the CLI prints it, from JSON text fragments."""
@@ -34,8 +36,8 @@ GOLDEN_PINCH_SEQ_4_9 = doc(
     '"pinch_number":2',
 )
 # scripts/cli_digests.py: every line that does not depend on the interpreter,
-# all but the first (which names it) and verify's (argparse words its usage
-# errors differently from one Python release to another)
+# all but the first (which names it) and "verify usage" (argparse words its
+# usage errors differently from one Python release to another)
 CLI_DIGESTS = (
     "2323d1c7bd9755c35f772d76c788b6b396cb8661d34c3d3105082fd4bd08b720  "
     "pinch-move  (578 calls)\n"
@@ -55,6 +57,8 @@ CLI_DIGESTS = (
     "jvc  (694 calls)\n"
     "8b9bc418fa6228f90d6c8459a009cda99dda5558d3970fd8901db0efd4a6972f  "
     "report  (120 calls)\n"
+    "a42e6d96c6dc8b0e2c1cf5aa6602d9a3495c7160c761183a84c907e78262e3f5  "
+    "verify  (36 calls)\n"
     "3e24b917c18b30002b967ba30aa37b17d5a56b33ab9314d689202a23a74ea181  "
     "print_pinch_tables.py --max-n 12\n"
     "588453235f84dcfd81f3ca8148b11823935c14035072988ab826cf2c07f50bc2  "
@@ -638,6 +642,37 @@ class TestExitCodes:
         assert run_cli(capsys, "pinch-seq", "4", "9") == (3, "", err)
         assert run_cli(capsys, "pinch-seq", "4", "9", "--quiet") == (3, "", "")
 
+    @pytest.mark.parametrize("exc, message", [
+        (ZeroDivisionError("division by zero"), "division by zero"),
+        # str(LookupError()) is empty, so the message is the exception's type
+        (LookupError(), "LookupError"),
+    ], ids=["zero-division", "empty-message"])
+    def test_any_other_exception_exits_3(self, capsys, monkeypatch, exc, message):
+        # not only a RuntimeError: any fault but bad input is an internal bug
+        def fault(n, eps, k):
+            raise exc
+
+        monkeypatch.setattr(cli, "closed_form_step", fault)
+        code, out, err = run_cli(capsys, "verify", "all", "--max-n", "3", "--json")
+        assert code == 3
+        assert out == doc("verify", "", f'"error":"{message}"', "error")
+        assert err == f"pinchcalc: {message}\n"
+        assert run_cli(capsys, "verify", "all", "--max-n", "3") == (3, "", err)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on int-to-str digits")
+    def test_output_wider_than_the_digit_limit(self, capsys):
+        # K_n for n = 10^2999 is T(4 * 10^2999, 4 * 10^5998 + 4 * 10^2999 + 1)
+        limit = sys.get_int_max_str_digits()
+        n = "1" + "0" * 2999
+        zeros = "0" * 2998
+        assert run_cli(capsys, "family", "K", n) == (
+            0, f"K_{n} = T(4{zeros}0,4{zeros}4{zeros}1)\n", "")
+        assert sys.get_int_max_str_digits() == limit
+        # the argument is still bounded by the limit
+        assert run_cli(capsys, "family", "K", "1" * 4301)[0] == 2
+        assert sys.get_int_max_str_digits() == limit
+
     def test_json_error_document(self, capsys):
         code, out, err = run_cli(capsys, "pinch-move", "4", "6", "--json")
         assert code == 2
@@ -760,8 +795,13 @@ class TestSubprocessHarness:
          ["termination_scan.py", "--limit", "10"], 3,
          "termination_scan.py: internal error: T(9, 10): tree witnesses (8, 9)"
          " or pinch number 4 differ from the engines'"),
+        # and so is any other exception
+        ("pinch.pinch_number = lambda k: 1 // 0",
+         ["termination_scan.py", "--limit", "10"], 3,
+         "termination_scan.py: internal error: integer division or modulo by zero"),
     ], ids=["termination-scan", "pinch-tables", "cli-digests",
-            "termination-scan-refused", "termination-scan-internal-error"])
+            "termination-scan-refused", "termination-scan-internal-error",
+            "termination-scan-any-exception"])
     def test_script(self, patch, script, code, lines):
         path = str(Path(__file__).parents[1] / "scripts" / script[0])
         argv = [sys.executable, path, *script[1:]]
@@ -930,14 +970,7 @@ class TestVerifyAll:
                 verify_all(11, mode)
 
     def test_closed_form_builds_one_knot_per_member(self, monkeypatch):
-        built = []
-        init = TorusKnotParams.__init__
-
-        def counted(knot, p, q):
-            built.append((p, q))
-            init(knot, p, q)
-
-        monkeypatch.setattr(TorusKnotParams, "__init__", counted)
+        built = count_knot_builds(monkeypatch)
         section = cli.check_pinch_numbers_and_closed_form(30)
         assert section == {"checked": 59, "violations": []}
         # each member's start, K_1..K_30 then J_2..J_30, and no knot per step

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pinchcalc import families, pinch
+from pinchcalc import families
 from pinchcalc.families import (
     FamilyId,
     closed_form_step,
@@ -20,6 +20,8 @@ from pinchcalc.pinch import (
     pinch_runs,
     pinch_sequence,
 )
+
+from oracles import count_witness_calls, move_chain
 
 
 class TestFamilyId:
@@ -125,25 +127,17 @@ class TestJToK:
             assert verify_j_to_k(n)
 
     def test_n2_lands_on_unknot(self):
-        cur = family_knot(FamilyId("J", 2))
-        for _ in range(4):
-            cur = pinch_move(cur).target
-        assert cur == TorusKnotParams(0, 1)
+        chain = move_chain(family_knot(FamilyId("J", 2)), 4)
+        assert len(chain) == 4 and chain[-1].target == TorusKnotParams(0, 1)
 
     def test_n3_lands_on_4_9(self):
-        cur = family_knot(FamilyId("J", 3))
-        for _ in range(4):
-            cur = pinch_move(cur).target
-        assert cur == TorusKnotParams(4, 9)
+        chain = move_chain(family_knot(FamilyId("J", 3)), 4)
+        assert len(chain) == 4 and chain[-1].target == TorusKnotParams(4, 9)
 
     def test_n5_intermediates(self):
-        chain = []
-        cur = family_knot(FamilyId("J", 5))
-        for _ in range(4):
-            cur = pinch_move(cur).target
-            chain.append((cur.p, cur.q))
-        assert chain == [(18, 73), (16, 65), (14, 57), (12, 49)]
-        assert cur == family_knot(FamilyId("K", 3))
+        chain = [step.target for step in move_chain(family_knot(FamilyId("J", 5)), 4)]
+        assert [(k.p, k.q) for k in chain] == [(18, 73), (16, 65), (14, 57), (12, 49)]
+        assert chain[-1] == family_knot(FamilyId("K", 3))
 
     def test_holds_at_large_n(self):
         # four pinches on 10^12-scale members, move by move and from the run
@@ -158,28 +152,14 @@ class TestJToK:
         with pytest.raises(ValueError):
             verify_j_to_k(1)
 
-    @staticmethod
-    def four_moves(n):
-        """The step oracle: four pinch_move calls from J_n, one inverse each."""
-        cur = family_knot(FamilyId("J", n))
-        for _ in range(4):
-            cur = pinch_move(cur).target
-        k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
-        return cur == k
-
     def test_matches_the_step_oracle(self):
         for n in range(2, 301):
-            assert verify_j_to_k(n) == self.four_moves(n)
+            chain = move_chain(family_knot(FamilyId("J", n)), 4)
+            k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
+            assert verify_j_to_k(n) == (len(chain) == 4 and chain[-1].target == k)
 
     def test_one_inverse_per_member(self, monkeypatch):
-        calls = []
-        witnesses = pinch.pinch_witnesses
-
-        def counted(p, q):
-            calls.append((p, q))
-            return witnesses(p, q)
-
-        monkeypatch.setattr(pinch, "pinch_witnesses", counted)
+        calls = count_witness_calls(monkeypatch)
         for n in range(2, 41):
             calls.clear()
             assert verify_j_to_k(n)

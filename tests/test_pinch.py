@@ -28,6 +28,9 @@ from pinchcalc.pinch import (
     sweep_termination,
 )
 
+from oracles import (count_knot_builds, count_witness_calls, move_chain,
+                     per_run_runs, run_end, scan_witnesses)
+
 coprime_pairs = st.tuples(st.integers(2, 2000), st.integers(2, 2000)).filter(
     lambda pq: gcd(*pq) == 1
 )
@@ -48,41 +51,12 @@ jvc_pairs = st.tuples(
          and pinch_number(TorusKnotParams(*pq)) <= ORACLE_MOVES)
 
 
-def move_chain(k, limit):
-    """Step oracle: up to limit moves from k, one pinch_move each."""
-    steps = []
-    while not k.is_unknot() and len(steps) < limit:
-        steps.append(pinch_move(k))
-        k = steps[-1].target
-    return steps
-
-
 def assert_swap_symmetric(k):
     """Swapping the coordinates keeps every run and negates its sign."""
     runs, swapped = pinch_runs(k), pinch_runs(k.swap())
     assert [(r.q, r.p) for r in runs] == [(r.p, r.q) for r in swapped]
     assert [r.count for r in runs] == [r.count for r in swapped]
     assert [-r.sign for r in runs] == [r.sign for r in swapped]
-
-
-def per_run_runs(k):
-    """Reference engine: the runs of k with pinch_witnesses at every run start."""
-    runs = []
-    while not k.is_unknot():
-        t, h = pinch_witnesses(k.p, k.q)
-        if k.p > 2 * t:
-            sign, count = 1, (k.p - 1) // (2 * t)
-        else:
-            sign, count = -1, k.p // (2 * (k.p - t))
-        runs.append(PinchRun(k.p, k.q, t, h, count, sign))
-        k = TorusKnotParams(*run_end(runs[-1]))
-    return tuple(runs)
-
-
-def run_end(run):
-    """The (p, q) a run's last move reaches: its start less count strides."""
-    dp, dq = run.stride
-    return run.p - run.count * dp, run.q - run.count * dq
 
 
 def move_fields(run):
@@ -113,19 +87,6 @@ def wide_pairs(bits, count, seed):
     return pairs
 
 
-def count_witness_calls(monkeypatch):
-    """Wrap pinch.pinch_witnesses; the returned list collects each call's (p, q)."""
-    calls = []
-    witnesses = pinch.pinch_witnesses
-
-    def counted(p, q):
-        calls.append((p, q))
-        return witnesses(p, q)
-
-    monkeypatch.setattr(pinch, "pinch_witnesses", counted)
-    return calls
-
-
 def record_pinch_numbers(monkeypatch, engine):
     """Patch pinch.pinch_number to engine; the returned list collects each
     call's (p, q)."""
@@ -137,14 +98,6 @@ def record_pinch_numbers(monkeypatch, engine):
 
     monkeypatch.setattr(pinch, "pinch_number", recorded)
     return calls
-
-
-def scan_witnesses(p, q):
-    """Independent oracle: first t with q*t = -1 (mod p), first h with
-    p*h = 1 (mod q), found by linear scan."""
-    t = next(v for v in range(p) if (v * q + 1) % p == 0)
-    h = next(v for v in range(q) if (v * p - 1) % q == 0)
-    return t, h
 
 
 class TestTorusKnotParams:
@@ -400,14 +353,7 @@ class TestPinchRuns:
         assert calls == [pq]
 
     def test_builds_no_knot_after_the_start(self, monkeypatch):
-        built = []
-        init = TorusKnotParams.__init__
-
-        def counted(knot, p, q):
-            built.append((p, q))
-            init(knot, p, q)
-
-        monkeypatch.setattr(TorusKnotParams, "__init__", counted)
+        built = count_knot_builds(monkeypatch)
         pq = wide_pairs(4096, 1, seed=1)[0]
         assert len(pinch_runs(TorusKnotParams(*pq))) >= 2
         # the one knot is the caller's start
