@@ -171,6 +171,7 @@ def run_surgery_knot(family, n):
     bridge = surgery_result_knot(fid)
     cf = cf_even_expand(bridge.normalized)
     recognized = is_slice_family(cf)
+    determinant = bridge.determinant()
     results = {
         "family": fid.family,
         "n": fid.n,
@@ -178,7 +179,7 @@ def run_surgery_knot(family, n):
         "tangle2": bridge.t2,
         "normalized": bridge.normalized,
         "cf": cf,
-        "determinant": bridge.determinant(),
+        "determinant": determinant,
         "slice_recognized": recognized,
     }
     text = [
@@ -186,7 +187,7 @@ def run_surgery_knot(family, n):
         f"{fmt_fraction(bridge.t1)} and {fmt_fraction(bridge.t2)}",
         f"normalized fraction: {fmt_fraction(bridge.normalized)}",
         f"even continued fraction: {cf}",
-        f"determinant: {bridge.determinant()}",
+        f"determinant: {determinant}",
         f"slice family member: {_yesno(recognized)}",
     ]
     return results, text, "ok"

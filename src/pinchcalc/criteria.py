@@ -31,7 +31,7 @@ def jvc_criterion(k: TorusKnotParams) -> PinchSequence:
     one single move in the pinch sequence has negative sign.  Only that
     combinatorial verdict is computed; no invariant values are produced.
     """
-    if k.p <= 1 or k.q <= 1 or k.p % 2 != 0 or k.q % 2 != 1:
+    if k.is_unknot() or k.p % 2 != 0 or k.q % 2 != 1:
         raise CriterionNotApplicableError(
             f"needs p even and q odd with p, q > 1, got ({k.p}, {k.q})"
         )

@@ -29,6 +29,7 @@ runs along the unknots j/1 or 1/j, so it leaves all three at 0.
 from collections import namedtuple
 from collections.abc import Iterator
 from math import gcd
+from operator import index
 
 from .arith import Value, mod_inverse_smallest
 
@@ -56,6 +57,8 @@ class TorusKnotParams(Value):
     __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int):
+        # index() refuses a float and turns a bool into the int it stands for
+        p, q = index(p), index(q)
         if p < 0 or q < 0:
             raise InvalidKnotError(f"coordinates must be nonnegative, got ({p}, {q})")
         if gcd(p, q) != 1:

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pinchcalc
-from pinchcalc import cli, criteria, pinch
+from pinchcalc import cli, criteria, families, pinch
 from pinchcalc.cli import cli_main, fmt_fraction, verify_all
 from pinchcalc.arith import EvenCF, ReducedFraction
 from pinchcalc.pinch import PinchRun, TorusKnotParams
@@ -34,6 +34,13 @@ GOLDEN_PINCH_SEQ_4_9 = doc(
     '{"from":[4,9],"to":[2,5],"t":3,"h":7,"sign":"-"},'
     '{"from":[2,5],"to":[0,1],"t":1,"h":3,"sign":"-"}],'
     '"pinch_number":2',
+)
+GOLDEN_REPORT_J_2 = doc(
+    "report", '"family":"J","n":2',
+    '"family":"J","n":2,"knot":[8,9],"pinch_number":4,'
+    '"band_count":3,"slice_fraction":[-4,9],"slice_cf":[-2,-4],'
+    '"slice_recognized":true,"jvc_negative_count":4,'
+    '"jvc_equals_pinch_minus_one":false',
 )
 # scripts/cli_digests.py: every line that does not depend on the interpreter,
 # all but the first (which names it) and "verify usage" (argparse words its
@@ -197,13 +204,8 @@ GOLDEN = [
         "", id="report-K-1",
     ),
     pytest.param(
-        ["report", "J", "2", "--json"], no_patch, 0,
-        doc("report", '"family":"J","n":2',
-            '"family":"J","n":2,"knot":[8,9],"pinch_number":4,'
-            '"band_count":3,"slice_fraction":[-4,9],"slice_cf":[-2,-4],'
-            '"slice_recognized":true,"jvc_negative_count":4,'
-            '"jvc_equals_pinch_minus_one":false'),
-        "", id="report-J-2",
+        ["report", "J", "2", "--json"], no_patch, 0, GOLDEN_REPORT_J_2, "",
+        id="report-J-2",
     ),
     pytest.param(
         ["verify", "tables", "--json"], no_patch, 0,
@@ -527,42 +529,6 @@ class TestToJson:
             f"pinchcalc: {message}\n")
 
 
-class TestTextOutput:
-    def test_pinch_seq_lists_chain(self, capsys):
-        code, out, _ = run_cli(capsys, "pinch-seq", "8", "25")
-        assert code == 0
-        for pair in ["(8,25)", "(6,19)", "(4,13)", "(2,7)", "(0,1)"]:
-            assert pair in out
-        assert "pinch number: 4" in out
-        assert "t=" in out and "h=" in out and "sign=" in out
-
-    def test_pinch_number(self, capsys):
-        code, out, _ = run_cli(capsys, "pinch-number", "20", "81")
-        assert code == 0 and out.strip() == "10"
-
-    def test_verify_tables_summary(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "tables")
-        assert code == 0
-        assert "K: 5/5 rows match, J: 4/4 rows match" in out
-
-    def test_tangle_cf(self, capsys):
-        code, out, _ = run_cli(capsys, "tangle", "cf", "2", "-9")
-        assert code == 0 and out.strip() == "[-4,-2]"
-
-    def test_tangle_apply(self, capsys):
-        code, out, _ = run_cli(capsys, "tangle", "apply", "1", "0", "-7", "1", "4", "3")
-        assert code == 0 and out.strip() == "4/-25"
-
-    def test_surgery_knot(self, capsys):
-        code, out, _ = run_cli(capsys, "surgery-knot", "K", "2")
-        assert code == 0
-        assert "4/-25" in out and "[-6,-4]" in out and "25" in out
-
-    def test_family_trivial_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "family", "J", "1")
-        assert code == 0 and "unknot" in out
-
-
 class TestHelpAndUsage:
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_command_help(self, capsys, command):
@@ -623,13 +589,6 @@ class TestExitCodes:
         assert run_cli(capsys, "pinch-move", "four", "9")[0] == 2
         assert run_cli(capsys, "pinch-move", "4")[0] == 2
 
-    def test_violation_exit_1(self, capsys, monkeypatch):
-        # force a fake violation to exercise the exit contract
-        monkeypatch.setitem(cli.REFERENCE_ROWS_K, 1, [(4, 9), (2, 5), (0, 3)])
-        code, out, _ = run_cli(capsys, "verify", "tables")
-        assert code == 1
-        assert "K: 4/5 rows match" in out
-
     def test_internal_error_exit_3(self, capsys, monkeypatch):
         # a pinch sequence outrunning its cap is a bug, not a bad input
         monkeypatch.setattr(pinch, "iteration_cap", lambda k: 0)
@@ -673,13 +632,6 @@ class TestExitCodes:
         assert run_cli(capsys, "family", "K", "1" * 4301)[0] == 2
         assert sys.get_int_max_str_digits() == limit
 
-    def test_json_error_document(self, capsys):
-        code, out, err = run_cli(capsys, "pinch-move", "4", "6", "--json")
-        assert code == 2
-        doc = json.loads(out)
-        assert doc["status"] == "error"
-        assert "coprime" in doc["results"]["error"]
-
 
 class TestSubprocessHarness:
     # child interpreters import the same pinchcalc as this test run
@@ -691,10 +643,16 @@ class TestSubprocessHarness:
             capture_output=True, text=True, env=self.env, timeout=timeout,
         )
 
-    def test_success(self):
-        proc = self._run("pinch-number", "4", "9")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "2"
+    @pytest.mark.parametrize("argv, code, out", [
+        (["pinch-number", "4", "9"], 0, "2\n"),
+        (["pinch-move", "2", "4"], 2, ""),
+        (["bogus"], 2, ""),
+        (["report", "J", "2", "--json"], 0, GOLDEN_REPORT_J_2),
+    ], ids=["success", "domain-error", "usage-error", "json-pipe"])
+    def test_exit_code_and_stdout(self, argv, code, out):
+        proc = self._run(*argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert (proc.stderr == "") == (code == 0)
 
     def test_pinch_number_is_bounded_work(self):
         # T(10^18, 10^18 + 1) is one run of 5 * 10^17 moves
@@ -750,22 +708,6 @@ class TestSubprocessHarness:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
             "pinchcalc: max_n 1000000000 is over the verify bound 3000\n")
-
-    def test_domain_error(self):
-        proc = self._run("pinch-move", "2", "4")
-        assert proc.returncode == 2
-        assert proc.stderr != ""
-
-    def test_usage_error(self):
-        proc = self._run("bogus")
-        assert proc.returncode == 2
-
-    def test_json_pipe(self):
-        proc = self._run("report", "J", "2", "--json")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
-        assert doc["results"]["slice_cf"] == [-2, -4]
-        assert doc["results"]["band_count"] == 3
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
@@ -838,50 +780,6 @@ class TestSubprocessHarness:
         )
         assert int(proc.stdout) < 2048
 
-    @pytest.mark.parametrize("patch, call", [
-        ("pinch.pinch_witnesses = lambda p, q: (0, 0)", "sweep_termination(10)"),
-        # the walk's witnesses on the last column differ from these
-        ("pinch.pinch_witnesses = lambda p, q: (1, 1)", "sweep_termination(10)"),
-        # and its pinch numbers there from this
-        ("pinch.pinch_number = lambda k: -1", "sweep_termination(10)"),
-        ("pinch.pinch_witnesses = lambda p, q: (p / 2, q / 2)",
-         "pinch_move(TorusKnotParams(4, 9))"),
-        ("pinch.pinch_witnesses = lambda p, q: (0, 0)",
-         "pinch_runs(TorusKnotParams(4, 9))"),
-        # not the witnesses of T(4, 9): its one move lands on T(0, 3)
-        ("", "list(PinchRun(4, 9, 2, 3, 1, 1).rows())"),
-        # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
-        ("", "list(PinchRun(4, 9, 1, 1, 1, 1).rows())"),
-        # closed_form and k_independence read that run's stride; j_to_k
-        # reads its rows, which read the stride first
-        ("from pinchcalc import cli\n"
-         "cli.pinch_runs = lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)",
-         "cli.check_pinch_numbers_and_closed_form(3)"),
-        ("from pinchcalc import cli, families\n"
-         "families.pinch_runs = lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)",
-         "cli.check_k_independence(3)"),
-        ("from pinchcalc import cli, families\n"
-         "families.pinch_runs = lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)",
-         "cli.check_j_to_k(3)"),
-    ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "sweep-pinch-number",
-            "pinch-move-sign", "pinch-runs-witnesses", "run-rows-coprime",
-            "run-rows-witnesses", "closed-form-bad-run", "k-independence-bad-run",
-            "j-to-k-bad-run"])
-    def test_broken_invariant_raises_under_O(self, patch, call):
-        # python -O strips assert statements; the invariants must still hold
-        script = (
-            "from pinchcalc import pinch\n"
-            "from pinchcalc.pinch import *\n"
-            f"{patch}\n"
-            f"{call}\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=self.env,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines()[-1].startswith("RuntimeError: ")
-
 
 class TestPackage:
     """Each name has one import path, its module; the package binds none."""
@@ -904,35 +802,69 @@ class TestPackage:
 
     @pytest.mark.parametrize("module", LOADS)
     def test_importing_a_module_loads_only_it(self, module):
-        script = (f"import sys, pinchcalc.{module}\n"
+        # nor dataclasses, or the inspect it imports: the value classes are
+        # hand-written, and either would add a few ms to every command start
+        script = ("import sys\nbefore = set(sys.modules)\n"
+                  f"import pinchcalc.{module}\n"
                   "print(*sorted(n for n in sys.modules"
-                  " if n.partition('.')[0] == 'pinchcalc'))")
+                  " if n.partition('.')[0] == 'pinchcalc'))\n"
+                  "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
             env=TestSubprocessHarness.env, check=True,
         )
-        assert proc.stdout.split() == [
-            "pinchcalc", *(f"pinchcalc.{name}" for name in self.LOADS[module])]
+        assert [line.split() for line in proc.stdout.splitlines()] == [
+            ["pinchcalc", *(f"pinchcalc.{name}" for name in self.LOADS[module])], []]
 
     def test_no_module_asserts(self):
-        # python -O strips assert statements, so no invariant may rest on one
-        src = Path(__file__).resolve().parents[1] / "src"
-        asserts = [f"{path.relative_to(src)}:{node.lineno}"
-                   for path in sorted(src.rglob("*.py"))
-                   for node in ast.walk(ast.parse(path.read_text()))
-                   if isinstance(node, ast.Assert)]
-        assert asserts == []
+        # the one guarantee that python -O changes nothing: it strips assert
+        # statements and makes __debug__ false, so no code in src/ or
+        # scripts/ may use either.  CI's -O runs are a backstop
+        root = Path(__file__).resolve().parents[1]
+        found = [f"{path.relative_to(root)}:{node.lineno}"
+                 for tree in ("src", "scripts")
+                 for path in sorted((root / tree).rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)
+                 or isinstance(node, ast.Name) and node.id == "__debug__"]
+        assert found == []
 
-    def test_start_loads_no_dataclasses(self):
-        # the value classes are hand-written: dataclasses, and the inspect it
-        # imports, would add a few ms to every command line start
-        script = ("import sys\nbefore = set(sys.modules)\nimport pinchcalc.cli\n"
-                  "print(*sorted({'dataclasses', 'inspect'} - before & set(sys.modules)))")
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env=TestSubprocessHarness.env, check=True,
-        )
-        assert proc.stdout.split() == []
+    @pytest.mark.parametrize("patch, call", [
+        ((pinch, "pinch_witnesses", lambda p, q: (0, 0)),
+         lambda: pinch.sweep_termination(10)),
+        # the walk's witnesses on the last column differ from these
+        ((pinch, "pinch_witnesses", lambda p, q: (1, 1)),
+         lambda: pinch.sweep_termination(10)),
+        # and its pinch numbers there from this
+        ((pinch, "pinch_number", lambda k: -1), lambda: pinch.sweep_termination(10)),
+        ((pinch, "pinch_witnesses", lambda p, q: (p / 2, q / 2)),
+         lambda: pinch.pinch_move(TorusKnotParams(4, 9))),
+        ((pinch, "pinch_witnesses", lambda p, q: (0, 0)),
+         lambda: pinch.pinch_runs(TorusKnotParams(4, 9))),
+        # not the witnesses of T(4, 9): its one move lands on T(0, 3)
+        ((), lambda: list(PinchRun(4, 9, 2, 3, 1, 1).rows())),
+        # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
+        ((), lambda: list(PinchRun(4, 9, 1, 1, 1, 1).rows())),
+        # closed_form and k_independence read that run's stride; j_to_k
+        # reads its rows, which read the stride first
+        ((cli, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+         lambda: cli.check_pinch_numbers_and_closed_form(3)),
+        ((families, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+         lambda: cli.check_k_independence(3)),
+        ((families, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+         lambda: cli.check_j_to_k(3)),
+    ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "sweep-pinch-number",
+            "pinch-move-sign", "pinch-runs-witnesses", "run-rows-coprime",
+            "run-rows-witnesses", "closed-form-bad-run", "k-independence-bad-run",
+            "j-to-k-bad-run"])
+    def test_broken_invariant_raises(self, monkeypatch, patch, call):
+        # under python -O too, as test_no_module_asserts finds no assert; a
+        # RuntimeError itself, not a subclass such as IterationCapError
+        if patch:
+            monkeypatch.setattr(*patch)
+        with pytest.raises(RuntimeError) as raised:
+            call()
+        assert raised.type is RuntimeError
 
 
 class TestVerifyAll:

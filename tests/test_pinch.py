@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchcalc import pinch
-from pinchcalc.cli import cli_main
+from pinchcalc.cli import _json_value, cli_main
 from pinchcalc.criteria import jvc_criterion, sign_sequence
 from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import (
@@ -115,6 +115,14 @@ class TestTorusKnotParams:
         assert TorusKnotParams(1, 1).is_unknot()
         assert TorusKnotParams(4, 1).is_unknot()
         assert not TorusKnotParams(2, 3).is_unknot()
+
+    def test_coordinates_are_ints(self):
+        # index() makes a bool the int it stands for and refuses a float
+        k = TorusKnotParams(True, 3)
+        assert type(k.p) is int and (k.p, k.q) == (1, 3)
+        assert json.dumps(k, separators=(",", ":"), default=_json_value) == "[1,3]"
+        with pytest.raises(TypeError):
+            TorusKnotParams(4.5, 3)
 
 
 class TestPinchMove:

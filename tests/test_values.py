@@ -3,22 +3,17 @@
 Each keeps what a frozen dataclass gave it: construction by position or
 keyword, equality and hashing by field, a Name(field=value, ...) repr and
 fields that refuse assignment.  The Value classes also equal nothing but
-their own class, and each validator raises its message under python -O.
+their own class, and each validator raises its exact message.
 """
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pinchcalc import pinch
 from pinchcalc.arith import EvenCF, ReducedFraction, Value, ext_gcd
 from pinchcalc.criteria import CounterexampleReport, counterexample_report
 from pinchcalc.families import FamilyId
@@ -127,36 +122,31 @@ def test_repr_has_the_dataclass_form(value):
     assert repr(value) == f"{type(value).__name__}({shown})"
 
 
-# every validator with its exact error, which must not depend on assert
-VALIDATORS = {
-    "TorusKnotParams(-1, 2)":
-        "InvalidKnotError: coordinates must be nonnegative, got (-1, 2)",
-    "TorusKnotParams(4, 6)": "InvalidKnotError: (4, 6) is not a coprime pair",
-    "ReducedFraction(0, 0)": "ValueError: 0/0 is not a slope",
-    "EvenCF(())": "ValueError: continued fraction needs at least one entry",
-    "EvenCF((2, 3))": "ValueError: entries must be even and nonzero, got 3",
-    "FamilyId('L', 1)": "ValueError: family must be 'K' or 'J', got 'L'",
-    "FamilyId('K', 0)": "ValueError: n must be positive, got 0",
-    "MatSL2(2, 0, 0, 2)": "ValueError: determinant must be 1, got 4",
-}
+# every validator with its exact error.  None rests on an assert
+# (test_no_module_asserts), so python -O raises the same
+VALIDATORS = [
+    pytest.param(lambda: TorusKnotParams(-1, 2),
+                 "InvalidKnotError: coordinates must be nonnegative, got (-1, 2)",
+                 id="knot-negative"),
+    pytest.param(lambda: TorusKnotParams(4, 6),
+                 "InvalidKnotError: (4, 6) is not a coprime pair", id="knot-not-coprime"),
+    pytest.param(lambda: ReducedFraction(0, 0), "ValueError: 0/0 is not a slope",
+                 id="fraction-zero-over-zero"),
+    pytest.param(lambda: EvenCF(()),
+                 "ValueError: continued fraction needs at least one entry", id="cf-empty"),
+    pytest.param(lambda: EvenCF((2, 3)),
+                 "ValueError: entries must be even and nonzero, got 3", id="cf-odd-entry"),
+    pytest.param(lambda: FamilyId("L", 1),
+                 "ValueError: family must be 'K' or 'J', got 'L'", id="family-letter"),
+    pytest.param(lambda: FamilyId("K", 0), "ValueError: n must be positive, got 0",
+                 id="family-n"),
+    pytest.param(lambda: MatSL2(2, 0, 0, 2), "ValueError: determinant must be 1, got 4",
+                 id="matrix-determinant"),
+]
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
-def test_validators_raise_their_messages(flags):
-    script = "\n".join([
-        "from pinchcalc.arith import EvenCF, ReducedFraction",
-        "from pinchcalc.families import FamilyId",
-        "from pinchcalc.pinch import TorusKnotParams",
-        "from pinchcalc.tangles import MatSL2",
-        f"for call in {list(VALIDATORS)!r}:",
-        "    try:",
-        "        eval(call)",
-        "    except ValueError as e:",
-        "        print(f'{type(e).__name__}: {e}')",
-        "    else:",
-        "        print('accepted')",
-    ])
-    env = {**os.environ, "PYTHONPATH": str(Path(pinch.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
-                          text=True, env=env, check=True)
-    assert proc.stdout.splitlines() == list(VALIDATORS.values())
+@pytest.mark.parametrize("build, error", VALIDATORS)
+def test_validators_raise_their_messages(build, error):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert f"{raised.type.__name__}: {raised.value}" == error
