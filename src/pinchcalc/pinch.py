@@ -79,11 +79,12 @@ class TorusKnotParams(Value):
 class PinchStep(namedtuple("PinchStep", "source target t h p_minus_2t q_minus_2h sign")):
     """One pinch move, with its witnesses and both raw sign values.
 
-    sign is +1 or -1: the sign of p - 2t, falling back to q - 2h when the
-    former is zero.  Both cannot vanish for a coprime pair (that would force
-    p and q both even), and for valid inputs the two values never have
-    opposite signs; both raws are kept so callers can audit.  A named tuple,
-    as no caller compares it with a plain tuple.
+    sign is +1 exactly when p > 2t, and -1 otherwise, the rule of
+    pinch_runs.  No fallback to the sign of q - 2h is needed when p = 2t:
+    with ph - qt = 1 that gives t(2h - q) = 1, so p = 2 and q - 2h = -1,
+    which the rule signs -1.  For valid inputs the two raw values never
+    have opposite signs; both are kept so callers can audit.  A named
+    tuple, as no caller compares it with a plain tuple.
     """
 
     __slots__ = ()
@@ -202,16 +203,20 @@ def pinch_witnesses(p: int, q: int) -> tuple[int, int]:
 
 
 def pinch_move(k: TorusKnotParams) -> PinchStep:
-    """Apply one pinch move to a nontrivial torus knot."""
+    """Apply one pinch move to a nontrivial torus knot.
+
+    Raises RuntimeError unless 0 < t < p, 0 < h < q and ph - qt = 1, the
+    check pinch_runs makes on each run's witnesses.
+    """
     if k.is_unknot():
         raise CannotPinchUnknotError(f"T{k} is unknotted and cannot be pinched")
     p, q = k.p, k.q
     t, h = pinch_witnesses(p, q)
+    if not (0 < t < p and 0 < h < q and p * h - q * t == 1):
+        raise RuntimeError(f"T({p},{q}): ({t}, {h}) are not its pinch witnesses")
     raw_p = p - 2 * t
     raw_q = q - 2 * h
-    if raw_p == 0 and raw_q == 0:
-        raise RuntimeError(f"T{k}: witnesses ({t}, {h}) leave no sign")
-    sign = 1 if (raw_p > 0 or (raw_p == 0 and raw_q > 0)) else -1
+    sign = 1 if p > 2 * t else -1
     return PinchStep(k, TorusKnotParams(abs(raw_p), abs(raw_q)), t, h, raw_p, raw_q, sign)
 
 

@@ -1,12 +1,22 @@
 """Slow references and engine probes, each defined once for the whole suite.
 
-move_chain (one pinch_move per move) checks pinch_sequence, the rows of
-pinch_runs, jvc, pinch_number, the sweep and verify_j_to_k; scan_witnesses
-(a linear scan) checks pinch_witnesses and the witnesses of pinch_move;
-per_run_runs (an inverse at every run start) checks the witnesses that
-pinch_runs carries from run to run.  The probes wrap an engine function and
-record its calls: count_witness_calls counts inverses and count_knot_builds
-the TorusKnotParams built.
+Each fast path meets its oracle in one test, in test_pinch.py unless named.
+move_chain, one pinch_move per move, checks pinch_runs' rows, pinch_sequence,
+sign_sequence, jvc_criterion and the pinch-seq document in
+TestPinchRuns::test_runs_expand_to_the_step_chain; the jvc document in
+TestPinchRuns::test_jvc_matches_the_step_chain; pinch_number in
+TestPinchNumber::test_euclid_path_matches_the_step_oracle; the sweep in
+TestSweep::test_matches_direct_sequences; and verify_j_to_k in test_families.py
+TestJToK::test_matches_the_step_oracle.  scan_witnesses, a linear scan, checks
+pinch_witnesses through pinch_move in test_acceptance.py c08.  per_run_runs, an
+inverse at every run start, checks the witnesses pinch_runs carries from run to
+run in TestPinchRuns::test_carried_witnesses_match_the_run_start_oracle, to 256
+bits, and past Hypothesis's widths in its seeded twin,
+TestPinchRuns::test_wide_runs_match_the_per_run_engine, at 1024-4096 bits.
+
+The probes wrap an engine function and record its calls:
+count_witness_calls counts inverses and count_knot_builds the
+TorusKnotParams built.
 """
 
 from pinchcalc import pinch

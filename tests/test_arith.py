@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pinchcalc.arith import (
@@ -67,10 +67,10 @@ class TestModInverse:
         with pytest.raises(ValueError):
             mod_inverse_smallest(3, 0)
 
-    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
-    def test_matches_linear_scan(self, a, m):
-        if gcd(a, m) != 1:
-            return
+    @given(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+           .filter(lambda am: gcd(*am) == 1))
+    def test_matches_linear_scan(self, am):
+        a, m = am
         u = mod_inverse_smallest(a, m)
         assert 0 <= u < m
         assert (a * u) % m == 1 % m
@@ -195,32 +195,14 @@ class TestEvenCF:
         with pytest.raises(TypeError):
             cf_evaluate([2.5, 4])
 
-    @given(st.integers(-10**5, 10**5), st.integers(2, 10**5))
-    @settings(max_examples=300)
-    def test_round_trip(self, num, den):
-        if num == 0 or abs(num) >= den or gcd(num, den) != 1:
-            return
-        f = ReducedFraction(num, den)
-        try:
-            cf = cf_even_expand(f)
-        except NoEvenExpansionError:
-            return
+    @given(st.integers(2, 10**5).flatmap(lambda den: st.tuples(
+        st.integers(1 - den, den - 1).filter(bool), st.just(den)))
+        .filter(lambda f: gcd(*f) == 1 and f[0] * f[1] % 2 == 0))
+    def test_round_trip(self, fraction):
+        # 0 < |num| < den with num * den even: each step keeps one of the
+        # pair odd and one even, so the chain never meets an odd integer,
+        # and these are exactly the fractions with an even expansion
+        f = ReducedFraction(*fraction)
+        cf = cf_even_expand(f)
         assert all(a % 2 == 0 and a != 0 for a in cf.coeffs)
         assert cf_evaluate(cf) == f
-
-    def test_round_trip_bulk(self):
-        rng = random.Random(996633)
-        hits = 0
-        for _ in range(2000):
-            den = rng.randint(2, 10**5)
-            num = rng.randint(1, den - 1) * rng.choice((1, -1))
-            if gcd(num, den) != 1:
-                continue
-            f = ReducedFraction(num, den)
-            try:
-                cf = cf_even_expand(f)
-            except NoEvenExpansionError:
-                continue
-            assert cf_evaluate(cf) == f
-            hits += 1
-        assert hits > 500

@@ -643,12 +643,12 @@ class TestSubprocessHarness:
             capture_output=True, text=True, env=self.env, timeout=timeout,
         )
 
+    # main() passes cli_main's code to sys.exit; GOLDEN pins every code and
+    # output in process, so one row each for 0 and 2 suffices here
     @pytest.mark.parametrize("argv, code, out", [
-        (["pinch-number", "4", "9"], 0, "2\n"),
         (["pinch-move", "2", "4"], 2, ""),
-        (["bogus"], 2, ""),
         (["report", "J", "2", "--json"], 0, GOLDEN_REPORT_J_2),
-    ], ids=["success", "domain-error", "usage-error", "json-pipe"])
+    ], ids=["domain-error", "json-pipe"])
     def test_exit_code_and_stdout(self, argv, code, out):
         proc = self._run(*argv)
         assert (proc.returncode, proc.stdout) == (code, out)
@@ -837,6 +837,7 @@ class TestPackage:
          lambda: pinch.sweep_termination(10)),
         # and its pinch numbers there from this
         ((pinch, "pinch_number", lambda k: -1), lambda: pinch.sweep_termination(10)),
+        # (2.0, 4.5) for T(4, 9): ph - qt = 0, which pinch_move refuses
         ((pinch, "pinch_witnesses", lambda p, q: (p / 2, q / 2)),
          lambda: pinch.pinch_move(TorusKnotParams(4, 9))),
         ((pinch, "pinch_witnesses", lambda p, q: (0, 0)),

@@ -48,18 +48,6 @@ class TestSignSequence:
 
 
 class TestJvcCriterion:
-    def test_k1(self):
-        v = jvc_criterion(TorusKnotParams(4, 9))
-        assert (v.negative_count, v.equals_pinch_minus_one) == (2, False)
-
-    def test_j2(self):
-        v = jvc_criterion(TorusKnotParams(8, 9))
-        assert (v.negative_count, v.equals_pinch_minus_one) == (4, False)
-
-    def test_control_2_3(self):
-        v = jvc_criterion(TorusKnotParams(2, 3))
-        assert (v.negative_count, v.equals_pinch_minus_one) == (1, True)
-
     def test_parity_precondition(self):
         with pytest.raises(CriterionNotApplicableError):
             jvc_criterion(TorusKnotParams(9, 4))  # p odd

@@ -54,12 +54,6 @@ class TestFamilyKnot:
         assert family_knot(FamilyId("J", 2)) == TorusKnotParams(8, 9)
         assert family_knot(FamilyId("J", 1)) == TorusKnotParams(4, 1)
 
-    def test_pinch_number_is_2n(self):
-        for n in range(1, 25):
-            assert pinch_sequence(family_knot(FamilyId("K", n))).pinch_number == 2 * n
-        for n in range(2, 25):
-            assert pinch_sequence(family_knot(FamilyId("J", n))).pinch_number == 2 * n
-
 
 class TestClosedForm:
     def test_examples(self):
@@ -87,19 +81,13 @@ class TestClosedForm:
         with pytest.raises(TypeError):
             closed_form_step(n, eps, k)
 
-    @given(st.integers(1, 500), st.sampled_from((1, -1)), st.integers(0, 1000))
-    def test_product_identity(self, n, eps, k):
-        # (2n+eps)^2 - 2k(n+eps) = (4n-2k)(n+eps) + 1 as integers
-        if k > 2 * n:
-            return
+    @given(st.integers(1, 500).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2 * n))), st.sampled_from((1, -1)))
+    def test_product_identity(self, nk, eps):
+        # (2n+eps)^2 - 2k(n+eps) = (4n-2k)(n+eps) + 1 as integers, 0 <= k <= 2n
+        n, k = nk
         odd = 2 * n + eps
         assert odd * odd - 2 * k * (n + eps) == (4 * n - 2 * k) * (n + eps) + 1
-
-    def test_commutes_with_pinch_engine(self):
-        for fam, eps, lo in (("K", 1, 1), ("J", -1, 2)):
-            for n in range(lo, 30):
-                knots = pinch_sequence(family_knot(FamilyId(fam, n))).knots()
-                assert [closed_form_step(n, eps, k) for k in range(2 * n + 1)] == knots
 
     def test_is_affine_in_k(self):
         # the premise of the closed_form section's run check: the formula's
@@ -122,10 +110,6 @@ class TestClosedForm:
 
 
 class TestJToK:
-    def test_holds_on_range(self):
-        for n in range(2, 40):
-            assert verify_j_to_k(n)
-
     def test_n2_lands_on_unknot(self):
         chain = move_chain(family_knot(FamilyId("J", 2)), 4)
         assert len(chain) == 4 and chain[-1].target == TorusKnotParams(0, 1)

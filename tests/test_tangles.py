@@ -111,16 +111,14 @@ class TestTwoBridgeNormalize:
         with pytest.raises(DegenerateTangleError):
             two_bridge_normalize(ReducedFraction(1, 5), ReducedFraction(1, 5))
 
-    @given(slopes(), slopes(), st.integers(-20, 20))
-    def test_stabilizer_invariance(self, t1, t2, k):
+    @given(st.tuples(slopes(), slopes()).filter(lambda t: t[0] != t[1]),
+           st.integers(-20, 20))
+    def test_stabilizer_invariance(self, slope_pair, k):
         # shifting t2's image by a unitriangular matrix before reducing the
-        # residue cannot change the stored fraction
-        if t1 == t2:
-            return
-        base = two_bridge_normalize(t1, t2).normalized
+        # residue cannot change the stored fraction; the shift keeps the
+        # denominator, which is nonzero as t1 != t2
+        base = two_bridge_normalize(*slope_pair).normalized
         shifted = mat_apply(MatSL2(1, k, 0, 1), base)
-        if shifted.den == 0:
-            return
         assert (
             least_absolute_residue(shifted.num, shifted.den) == base.num
             and shifted.den == base.den
