@@ -24,6 +24,7 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
     Raises ValueError on (0, 0), where the gcd is undefined.
     """
+    a, b = index(a), index(b)  # refuses a float, which would give a float triple
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     old_r, r = a, b

@@ -49,6 +49,7 @@ def mat_apply(m: MatSL2, f: ReducedFraction) -> ReducedFraction:
 
 def least_absolute_residue(num: int, den: int) -> int:
     """Representative of num mod den >= 1 with least absolute value, ties negative."""
+    num, den = index(num), index(den)  # refuses a float, which would pass through
     return (num + den // 2) % den - den // 2
 
 

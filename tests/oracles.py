@@ -16,11 +16,18 @@ TestPinchRuns::test_wide_runs_match_the_per_run_engine, at 1024-4096 bits.
 
 The probes wrap an engine function and record its calls:
 count_witness_calls counts inverses and count_knot_builds the
-TorusKnotParams built.
+TorusKnotParams built.  CHILD_ENV is the environment of every child
+interpreter the suite starts.
 """
+
+import os
+from pathlib import Path
 
 from pinchcalc import pinch
 from pinchcalc.pinch import PinchRun, TorusKnotParams, pinch_move, pinch_witnesses
+
+# a child interpreter imports the same pinchcalc as the test run
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(pinch.__file__).parents[1])}
 
 
 def move_chain(k, limit):

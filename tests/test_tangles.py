@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -6,7 +5,6 @@ from pinchcalc.arith import EvenCF, ReducedFraction, cf_even_expand
 from pinchcalc.criteria import surgery_result_knot
 from pinchcalc.families import FamilyId
 from pinchcalc.tangles import (
-    DegenerateTangleError,
     MatSL2,
     TwoBridgeKnot,
     is_slice_family,
@@ -42,17 +40,6 @@ def slopes(draw):
 
 
 class TestMatSL2:
-    def test_determinant_enforced(self):
-        with pytest.raises(ValueError):
-            MatSL2(1, 0, 0, -1)
-        with pytest.raises(ValueError):
-            MatSL2(2, 0, 0, 2)
-
-    def test_rejects_non_integer_entries(self):
-        # 1.0 * 1 - 0 * 0 == 1 passes the determinant, then fails in gcd
-        with pytest.raises(TypeError):
-            MatSL2(1.0, 0, 0, 1)
-
     def test_apply_examples(self):
         m = MatSL2(1, 0, -7, 1)
         assert mat_apply(m, ReducedFraction(1, 7)) == ReducedFraction(1, 0)
@@ -107,10 +94,6 @@ class TestTwoBridgeNormalize:
         k = two_bridge_normalize(ReducedFraction(1, 7), ReducedFraction(4, 3))
         assert k.normalized == ReducedFraction(-4, 25)
 
-    def test_equal_slopes_degenerate(self):
-        with pytest.raises(DegenerateTangleError):
-            two_bridge_normalize(ReducedFraction(1, 5), ReducedFraction(1, 5))
-
     @given(st.tuples(slopes(), slopes()).filter(lambda t: t[0] != t[1]),
            st.integers(-20, 20))
     def test_stabilizer_invariance(self, slope_pair, k):
@@ -142,10 +125,6 @@ class TestSurgeryResult:
         k = surgery_result_knot(FamilyId("J", 2))
         assert k.normalized == ReducedFraction(-4, 9)
         assert cf_even_expand(k.normalized).coeffs == (-2, -4)
-
-    def test_j1_rejected(self):
-        with pytest.raises(ValueError):
-            surgery_result_knot(FamilyId("J", 1))
 
     def test_determinants_are_odd_squares(self):
         assert surgery_result_knot(FamilyId("K", 1)).determinant() == 9

@@ -3,7 +3,7 @@
 Each keeps what a frozen dataclass gave it: construction by position or
 keyword, equality and hashing by field, a Name(field=value, ...) repr and
 fields that refuse assignment.  The Value classes also equal nothing but
-their own class, and each validator raises its exact message.
+their own class.  The refusals of bad input are in tests/test_refusals.py.
 """
 
 import copy
@@ -122,8 +122,8 @@ def test_repr_has_the_dataclass_form(value):
     assert repr(value) == f"{type(value).__name__}({shown})"
 
 
-# every validator with its exact error.  None rests on an assert
-# (test_no_module_asserts), so python -O raises the same
+# eight of the validators with their exact error, a copy of rows in
+# tests/test_refusals.py's table; to be deleted, as that table holds them
 VALIDATORS = [
     pytest.param(lambda: TorusKnotParams(-1, 2),
                  "InvalidKnotError: coordinates must be nonnegative, got (-1, 2)",
