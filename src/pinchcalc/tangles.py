@@ -50,6 +50,8 @@ def mat_apply(m: MatSL2, f: ReducedFraction) -> ReducedFraction:
 def least_absolute_residue(num: int, den: int) -> int:
     """Representative of num mod den >= 1 with least absolute value, ties negative."""
     num, den = index(num), index(den)  # refuses a float, which would pass through
+    if den < 1:
+        raise ValueError(f"modulus must be >= 1, got {den}")
     return (num + den // 2) % den - den // 2
 
 

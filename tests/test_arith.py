@@ -23,11 +23,6 @@ class TestExtGcd:
         assert ext_gcd(9, 4) == (1, 1, -2)
         assert ext_gcd(1, 0) == (1, 1, 0)
 
-    def test_bezout_identity_8_25(self):
-        g, x, y = ext_gcd(8, 25)
-        assert g == 1
-        assert 8 * x + 25 * y == 1
-
     @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
     def test_bezout_identity(self, a, b):
         if a == 0 and b == 0:
@@ -77,10 +72,6 @@ class TestModInverse:
             with pytest.raises(NotInvertibleError, match=message):
                 mod_inverse_smallest(a, m)
 
-    def test_negative_argument(self):
-        u = mod_inverse_smallest(-9, 25)
-        assert 0 <= u < 25 and (-9 * u) % 25 == 1
-
 
 class TestReducedFraction:
     def test_normalization(self):
@@ -106,11 +97,6 @@ class TestReducedFraction:
 
 
 class TestEvenCF:
-    def test_expansion_examples(self):
-        assert cf_even_expand(ReducedFraction(-2, 9)).coeffs == (-4, -2)
-        assert cf_even_expand(ReducedFraction(-4, 25)).coeffs == (-6, -4)
-        assert cf_even_expand(ReducedFraction(-4, 9)).coeffs == (-2, -4)
-
     def test_positive_mirror(self):
         assert cf_even_expand(ReducedFraction(2, 9)).coeffs == (4, 2)
 

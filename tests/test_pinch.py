@@ -113,11 +113,6 @@ class TestTorusKnotParams:
 
 
 class TestPinchMove:
-    def test_4_9(self):
-        step = pinch_move(TorusKnotParams(4, 9))
-        assert step.target == TorusKnotParams(2, 5)
-        assert (step.t, step.h, step.sign) == (3, 7, -1)
-
     def test_8_25(self):
         step = pinch_move(TorusKnotParams(8, 25))
         assert step.target == TorusKnotParams(6, 19)
@@ -160,23 +155,6 @@ class TestPinchMove:
 
 
 class TestPinchSequence:
-    def test_unknot_empty(self):
-        seq = pinch_sequence(TorusKnotParams(1, 0))
-        assert seq.steps == ()
-        assert seq.pinch_number == 0
-
-    def test_steps_chain_and_terminate(self):
-        seq = pinch_sequence(TorusKnotParams(20, 81))
-        for a, b in zip(seq.steps, seq.steps[1:]):
-            assert a.target == b.source
-        assert seq.steps[0].source == seq.start
-        assert seq.steps[-1].target.is_unknot()
-
-    def test_pinch_numbers(self):
-        assert pinch_number(TorusKnotParams(4, 9)) == 2
-        assert pinch_number(TorusKnotParams(20, 81)) == 10
-        assert pinch_number(TorusKnotParams(0, 1)) == 0
-
     @given(big_pairs)
     @example((16, 21))
     @example((2**256 - 1, 2**256))
@@ -377,6 +355,7 @@ class TestPinchNumber:
     @example((1, 7))
     @example((7, 1))
     @example((2, 3))
+    @example((4, 9))
     def test_euclid_path_matches_the_step_oracle(self, pq):
         k = TorusKnotParams(*pq)
         assert pinch_number(k) == len(move_chain(k, iteration_cap(k)))

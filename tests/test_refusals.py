@@ -7,11 +7,7 @@ None.  That command exits 2 with no stdout and "pinchcalc: message" on
 stderr.  test_every_refusal_is_reached parses src/ and checks that the
 rows reach every raise of ValueError or a subclass, so a new validator
 needs a row.  An internal bug raises RuntimeError instead; those are in
-test_cli.py's test_broken_invariant_raises.  Two older tests still check
-refusals outside this table: test_families.py's
-test_arguments_must_be_integers (closed_form_step's float arguments) and
-test_values.py's test_validators_raise_their_messages (eight of the rows
-here again).
+test_cli.py's test_broken_invariant_raises.
 """
 
 import ast
@@ -115,6 +111,10 @@ REFUSALS = [
      "ValueError: eps must be +1 or -1, got 2", None),
     ("closed-form-n", lambda: closed_form_step(0, 1, 0),
      "ValueError: n must be positive, got 0", None),
+    # a float k gave (5.0, 16.0), and a float eps passed the +-1 check
+    ("closed-form-float-k", lambda: closed_form_step(2, 1, 1.5), "TypeError", None),
+    ("closed-form-float-eps", lambda: closed_form_step(2, 1.0, 1), "TypeError", None),
+    ("closed-form-float-n", lambda: closed_form_step(2.0, 1, 1), "TypeError", None),
     ("j-to-k-n", lambda: verify_j_to_k(1), "ValueError: needs n >= 2, got 1", None),
     ("k-independence-max-n", lambda: verify_k_independence(0),
      "ValueError: needs max_n >= 1, got 0", None),
@@ -128,6 +128,9 @@ REFUSALS = [
     # 1.0 * 1 - 0 * 0 == 1 passes the determinant, then fails in gcd
     ("matrix-float", lambda: MatSL2(1.0, 0, 0, 1), "TypeError", None),
     ("residue-float", lambda: least_absolute_residue(2.5, 9), "TypeError", None),
+    # no command reaches it: two_bridge_normalize passes a positive denominator
+    ("residue-modulus", lambda: least_absolute_residue(5, 0),
+     "ValueError: modulus must be >= 1, got 0", None),
     ("closure-infinite", lambda: TwoBridgeKnot(F(1, 0), F(0, 1), F(1, 0)).determinant(),
      "ValueError: degenerate closure fraction 1/0 has no determinant", None),
     ("equal-slopes", lambda: two_bridge_normalize(F(1, 5), F(1, 5)),

@@ -116,28 +116,6 @@ class TestSurgeryResult:
         assert k.normalized == ReducedFraction(-2, 9)
         assert cf_even_expand(k.normalized).coeffs == (-4, -2)
 
-    def test_k2(self):
-        k = surgery_result_knot(FamilyId("K", 2))
-        assert k.normalized == ReducedFraction(-4, 25)
-        assert cf_even_expand(k.normalized).coeffs == (-6, -4)
-
-    def test_j2(self):
-        k = surgery_result_knot(FamilyId("J", 2))
-        assert k.normalized == ReducedFraction(-4, 9)
-        assert cf_even_expand(k.normalized).coeffs == (-2, -4)
-
-    def test_determinants_are_odd_squares(self):
-        assert surgery_result_knot(FamilyId("K", 1)).determinant() == 9
-        assert surgery_result_knot(FamilyId("K", 2)).determinant() == 25
-        assert surgery_result_knot(FamilyId("J", 2)).determinant() == 9
-
-    def test_family_formula(self):
-        for fam, eps, lo in (("K", 1, 1), ("J", -1, 2)):
-            for n in range(lo, 30):
-                k = surgery_result_knot(FamilyId(fam, n))
-                assert k.normalized == ReducedFraction(-2 * n, 4 * n * (n + eps) + 1)
-                assert k.determinant() == (2 * n + eps) ** 2
-
 
 class TestSliceFamily:
     def test_members(self):

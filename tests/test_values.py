@@ -121,32 +121,3 @@ def test_repr_has_the_dataclass_form(value):
     shown = ", ".join(f"{name}={field!r}" for name, field in fields(value).items())
     assert repr(value) == f"{type(value).__name__}({shown})"
 
-
-# eight of the validators with their exact error, a copy of rows in
-# tests/test_refusals.py's table; to be deleted, as that table holds them
-VALIDATORS = [
-    pytest.param(lambda: TorusKnotParams(-1, 2),
-                 "InvalidKnotError: coordinates must be nonnegative, got (-1, 2)",
-                 id="knot-negative"),
-    pytest.param(lambda: TorusKnotParams(4, 6),
-                 "InvalidKnotError: (4, 6) is not a coprime pair", id="knot-not-coprime"),
-    pytest.param(lambda: ReducedFraction(0, 0), "ValueError: 0/0 is not a slope",
-                 id="fraction-zero-over-zero"),
-    pytest.param(lambda: EvenCF(()),
-                 "ValueError: continued fraction needs at least one entry", id="cf-empty"),
-    pytest.param(lambda: EvenCF((2, 3)),
-                 "ValueError: entries must be even and nonzero, got 3", id="cf-odd-entry"),
-    pytest.param(lambda: FamilyId("L", 1),
-                 "ValueError: family must be 'K' or 'J', got 'L'", id="family-letter"),
-    pytest.param(lambda: FamilyId("K", 0), "ValueError: n must be positive, got 0",
-                 id="family-n"),
-    pytest.param(lambda: MatSL2(2, 0, 0, 2), "ValueError: determinant must be 1, got 4",
-                 id="matrix-determinant"),
-]
-
-
-@pytest.mark.parametrize("build, error", VALIDATORS)
-def test_validators_raise_their_messages(build, error):
-    with pytest.raises(ValueError) as raised:
-        build()
-    assert f"{raised.type.__name__}: {raised.value}" == error
