@@ -6,9 +6,11 @@ with --json; its argv, exit code, stdout and stderr all feed the digest of
 its command.  The set: the knot commands on coprime pairs of 8 to 256 bits
 (chains of at most MAX_MOVES moves) and on every pair in [-1, 11]^2, the
 member commands on K_n and J_n for n <= 29 and jvc on their knots (one run
-of 2n negative moves each), both tangle commands on a few fractions, and
-verify in every mode at --max-n 1, 2, 5, 40, 300 and 3000, the verify
-bound.  The line "verify usage" digests verify with the mode "bogus" at
+of 2n negative moves each), tangle cf on a few small fractions, on
+seeded fractions of 64 to 256 bits and on seeded fractions near +-1,
+whose expansions hold blocks of thousands of +-2 entries, tangle apply on
+a few fractions, and verify in every mode at --max-n 1, 2, 5, 40, 300 and
+3000, the verify bound.  The line "verify usage" digests verify with the mode "bogus" at
 those bounds, argparse's usage error.  Two more lines digest the pinch
 tables that print_pinch_tables.py prints for K and J at --max-n 12 (each
 chain from PinchSequence.knots()), and repr(sweep_termination(3000)): the
@@ -43,6 +45,10 @@ PAIRS_PER_WIDTH = 20
 # pinch-seq prints every move; longer chains are skipped
 MAX_MOVES = 20_000
 KNOT_COMMANDS = ("pinch-move", "pinch-seq", "pinch-number", "jvc")
+CF_WIDTHS = (64, 128, 256)
+FRACTIONS_PER_WIDTH = 8
+# a fraction near +-1 is (den - g)/den with den // g about this long a block
+BLOCK_LENGTHS = (1000, 5000)
 MEMBER_COMMANDS = ("family", "surgery-knot", "report")
 
 
@@ -59,6 +65,22 @@ def random_pairs(rng):
     return pairs
 
 
+def random_fractions(rng):
+    """Per width in CF_WIDTHS, FRACTIONS_PER_WIDTH fractions num/den of that
+    width with 0 < |num| < den, and one near 1 and one near -1 per block
+    length."""
+    fractions = []
+    for bits in CF_WIDTHS:
+        for _ in range(FRACTIONS_PER_WIDTH):
+            den = rng.getrandbits(bits) | 1 << (bits - 1)
+            fractions.append((rng.choice((1, -1)) * rng.randrange(1, den), den))
+        for length in BLOCK_LENGTHS:
+            den = rng.getrandbits(bits) | 1 << (bits - 1)
+            g = den // rng.randint(length, 2 * length)
+            fractions += [(den - g, den), (g - den, den)]
+    return fractions
+
+
 def invocations():
     """(digest line, argv) for every invocation, in a fixed order."""
     rng = random.Random(SEED)
@@ -73,7 +95,8 @@ def invocations():
             if n:
                 knot = family_knot(FamilyId(family, n))
                 yield "jvc", ["jvc", str(knot.p), str(knot.q)]
-    for num, den in ((2, -9), (-4, 25), (4, 3), (1, 3), (5, 3), (0, 1), (1, 0)):
+    small = [(2, -9), (-4, 25), (4, 3), (1, 3), (5, 3), (0, 1), (1, 0)]
+    for num, den in small + random_fractions(rng):
         yield "tangle cf", ["tangle", "cf", str(num), str(den)]
     for matrix in ((1, 0, -7, 1), (2, 1, 1, 1), (1, 0, 0, 2)):
         for num, den in ((4, 3), (1, 7), (1, 0)):

@@ -135,6 +135,13 @@ def cf_even_expand(f: ReducedFraction) -> EvenCF:
     inside (-1, 1), then recurses on the residual's reciprocal.  When a
     reciprocal lands exactly on an odd integer no even entry can continue
     and NoEvenExpansionError is raised.
+
+    A block of +-2 entries is one step.  The reciprocal num/den keeps
+    |num| > den > 0; while also g = |num| - den < den, with s = sign(num),
+    the entry is 2s and the next reciprocal -s den/(den - g) has the same g.
+    So m = (den - 1) // g entries 2s, -2s, ... leave den - m g <= g and
+    |num| = den + g of sign s (-1)^m, and none meets an odd integer: each
+    entry outside a block costs a divmod, and each block O(1) arithmetic.
     """
     if f.den == 0 or f.num == 0 or abs(f.num) >= f.den:
         raise ValueError(f"even expansion needs 0 < |f| < 1, got {f}")
@@ -142,6 +149,13 @@ def cf_even_expand(f: ReducedFraction) -> EvenCF:
     # running reciprocal num/den, denominator kept positive
     num, den = (f.den, f.num) if f.num > 0 else (-f.den, -f.num)
     while True:
+        if -2 * den < num < 2 * den:
+            g, s = abs(num) - den, 1 if num > 0 else -1
+            m = (den - 1) // g
+            coeffs += [2 * s, -2 * s] * (m >> 1)
+            coeffs += [2 * s] * (m & 1)
+            den -= m * g
+            num = (den + g) * (-s if m & 1 else s)
         # num/den = 2 half + (rem - den)/den, the residual in [-1, 1)
         half, rem = divmod(num + den, 2 * den)
         if rem == 0:

@@ -10,7 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .criteria import (
@@ -114,37 +114,50 @@ def run_pinch_move(p, q):
     return results, text, "ok"
 
 
+def _pinch_lines(seq: PinchSequence, as_json: bool):
+    """Each move of seq as a comma and one JSON object, or as one line of
+    text, in one loop per run sign.  Reading a run's stride checks the run.
+    A positive run keeps its witnesses, so what follows the target is
+    formatted once per run; a negative run steps (t, h) down with (p, q).
+    Each knot visited is converted to decimal once, as a target and then as
+    a source.
+    """
+    source = f"{seq.start.p},{seq.start.q}"
+    for run in seq.runs:
+        dp, dq = run.stride
+        p, q, t, h = run.p, run.q, run.t, run.h
+        if run.sign > 0:
+            end = (f',"t":{t},"h":{h},"sign":"+"}}' if as_json
+                   else f" t={t:<6} h={h:<6} sign=+")
+            for _ in range(run.count):
+                p, q = p - dp, q - dq
+                target = f"{p},{q}"
+                yield (f',{{"from":[{source}],"to":[{target}]{end}' if as_json
+                       else f"{f'({source})':>10} -> {f'({target})':<10}{end}")
+                source = target
+        else:
+            for _ in range(run.count):
+                p, q = p - dp, q - dq
+                target = f"{p},{q}"
+                yield (f',{{"from":[{source}],"to":[{target}],"t":{t},"h":{h},'
+                       '"sign":"-"}' if as_json else f"{f'({source})':>10} -> "
+                       f"{f'({target})':<10} t={t:<6} h={h:<6} sign=-")
+                source = target
+                t, h = t - dp, h - dq
+
+
 def run_pinch_seq(p, q):
     start = TorusKnotParams(p, q)
     seq = PinchSequence(start, pinch_runs(start))
 
-    # each form expands the runs only when it prints, and converts each
-    # visited knot to decimal once: as one move's target and the next's source
-    def steps_json():
-        yield "["
-        source, sep = f"{start.p},{start.q}", ""
-        for run in seq.runs:
-            sign = fmt_sign(run.sign)
-            for _, _, t, h, c, d in run.rows():
-                target = f"{c},{d}"
-                yield (f'{sep}{{"from":[{source}],"to":[{target}],'
-                       f'"t":{t},"h":{h},"sign":"{sign}"}}')
-                source, sep = target, ","
-        yield "]"
-
-    def text():
-        source = f"({start.p},{start.q})"
-        for run in seq.runs:
-            sign = fmt_sign(run.sign)
-            for _, _, t, h, c, d in run.rows():
-                target = f"({c},{d})"
-                yield f"{source:>10} -> {target:<10} t={t:<6} h={h:<6} sign={sign}"
-                source = target
-        yield f"pinch number: {seq.pinch_number}"
-
-    results = {"start": start, "steps": JSONText(steps_json()),
+    # each form expands the runs only when it prints.  Each JSON object
+    # follows a comma, and the first object's is dropped
+    objects = _pinch_lines(seq, True)
+    steps = chain("[", (first[1:] for first in islice(objects, 1)), objects, "]")
+    text = chain(_pinch_lines(seq, False), [f"pinch number: {seq.pinch_number}"])
+    results = {"start": start, "steps": JSONText(steps),
                "pinch_number": seq.pinch_number}
-    return results, text(), "ok"
+    return results, text, "ok"
 
 
 def run_pinch_number(p, q):

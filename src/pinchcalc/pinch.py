@@ -98,7 +98,7 @@ class PinchRun(namedtuple("PinchRun", "p q t h count sign")):
     (p - 2t)h - (q - 2h)t = ph - qt; a negative run keeps their complement
     (u, v) = (p - t, q - h) instead, so its move j has witnesses
     (p_j - u, q_j - v).  Either way each move subtracts the same stride
-    from (p, q), and rows() is the one walk over the run's moves.
+    from (p, q), and rows() walks the run's moves.
 
     A named tuple, not a Value: pinch_runs builds one a run, and a tuple is
     the cheaper build.  Unlike a Value it equals the tuple of its fields.

@@ -13,6 +13,9 @@ inverse at every run start, checks the witnesses pinch_runs carries from run to
 run in TestPinchRuns::test_carried_witnesses_match_the_run_start_oracle, to 256
 bits, and past Hypothesis's widths in its seeded twin,
 TestPinchRuns::test_wide_runs_match_the_per_run_engine, at 1024-4096 bits.
+even_cf_entries, one divmod per entry, checks cf_even_expand, which takes each
+block of +-2 entries at once, in test_arith.py
+TestEvenCF::test_matches_the_step_oracle.
 
 The probes wrap an engine function and record its calls:
 count_witness_calls counts inverses and count_knot_builds the
@@ -24,6 +27,7 @@ import os
 from pathlib import Path
 
 from pinchcalc import pinch
+from pinchcalc.arith import NoEvenExpansionError
 from pinchcalc.pinch import PinchRun, TorusKnotParams, pinch_move, pinch_witnesses
 
 # a child interpreter imports the same pinchcalc as the test run
@@ -37,6 +41,26 @@ def move_chain(k, limit):
         steps.append(pinch_move(k))
         k = steps[-1].target
     return steps
+
+
+def even_cf_entries(f):
+    """Even-CF step oracle: the entries of f's all-even expansion, one divmod
+    each, raising what cf_even_expand raises when the loop reaches it."""
+    if f.den == 0 or f.num == 0 or abs(f.num) >= f.den:
+        raise ValueError(f"even expansion needs 0 < |f| < 1, got {f}")
+    # running reciprocal num/den, denominator kept positive
+    num, den = (f.den, f.num) if f.num > 0 else (-f.den, -f.num)
+    while True:
+        # num/den = 2 half + (rem - den)/den, the residual in [-1, 1)
+        half, rem = divmod(num + den, 2 * den)
+        if rem == 0:
+            raise NoEvenExpansionError(
+                f"{f}: reciprocal chain hits the odd integer {2 * half - 1}")
+        yield 2 * half
+        resid = rem - den
+        if resid == 0:
+            return
+        num, den = (den, resid) if resid > 0 else (-den, -resid)
 
 
 def scan_witnesses(p, q):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -16,6 +17,31 @@ from pinchcalc.arith import (
     ext_gcd,
     mod_inverse_smallest,
 )
+
+from oracles import even_cf_entries
+
+# entries of the step oracle per example.  Outside its blocks of +-2
+# entries an expansion has about one entry per bit of the denominator at
+# most, so only a long block passes the cap.  The strategy drops such
+# fractions, as a long enough block could fill memory; only the (k - 1)/k
+# examples at k = 10^40 pass it
+ORACLE_ENTRIES = 10_000
+
+
+def oracle_outcome(f):
+    """The step oracle's EvenCF of f, or its exception's type and message;
+    None when the expansion has more than ORACLE_ENTRIES entries."""
+    try:
+        entries = tuple(islice(even_cf_entries(f), ORACLE_ENTRIES + 1))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return EvenCF(entries) if len(entries) <= ORACLE_ENTRIES else None
+
+
+# num/den with |num| <= den <= 2^256, num * den of either parity
+oracle_fractions = st.integers(1, 2**256).flatmap(
+    lambda den: st.tuples(st.integers(-den, den), st.just(den))
+).filter(lambda f: oracle_outcome(ReducedFraction(*f)) is not None)
 
 
 class TestExtGcd:
@@ -112,6 +138,31 @@ class TestEvenCF:
         with pytest.raises(NoEvenExpansionError) as caught:
             cf_even_expand(cf_evaluate([*entries, m]))
         assert str(caught.value).endswith(f"hits the odd integer {m}")
+
+    @given(oracle_fractions)
+    @example((1, 2))
+    @example((-1, 2))
+    @example((2, 3))
+    @example((-2, 3))
+    @example((10**40 - 1, 10**40))
+    @example((1 - 10**40, 10**40))
+    @example((2, 9))
+    @example((3, 7))
+    @example((5, 3))
+    def test_matches_the_step_oracle(self, fraction):
+        f = ReducedFraction(*fraction)
+        expected = oracle_outcome(f)
+        if expected is None:
+            # one block of about 10^40 entries: too long to index, so it is
+            # refused at once, where one divmod per entry would never end
+            with pytest.raises(OverflowError):
+                cf_even_expand(f)
+            return
+        try:
+            got = cf_even_expand(f)
+        except ValueError as exc:
+            got = type(exc), str(exc)
+        assert got == expected
 
     def test_evaluate_examples(self):
         assert cf_evaluate(EvenCF((-4, -2))) == ReducedFraction(-2, 9)

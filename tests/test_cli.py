@@ -57,8 +57,8 @@ CLI_DIGESTS = (
     "family  (120 calls)\n"
     "02c9b0779dc7218cfbc37109728886e5b3580e7924f11314c4f2c48908031536  "
     "surgery-knot  (120 calls)\n"
-    "86d0ecee8261818492cdba92fe21210c271997b28cf1014d3472495f08d7033a  "
-    "tangle cf  (14 calls)\n"
+    "6fc628122233f93d191db11104443adf10b0efc992b28075606111938737fbd2  "
+    "tangle cf  (86 calls)\n"
     "b491d3906cc26c85bddd981d9bb94be5500535d356cea66070d9ee6d90428de7  "
     "tangle apply  (18 calls)\n"
     "e593e3c0e54e08131a78773257a2ac752af79cebcf04615d92ea3fde2d91b706  "

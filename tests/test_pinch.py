@@ -222,15 +222,20 @@ class TestPinchRuns:
     @example((1, 5))
     @example((16, 21))
     @example((2**256 - 1, 2**256))
+    # 256 bits, 975 moves: a positive run of 402 moves and a negative run of 356
+    @example((0x98c518f43ff19e9ddf7a8ec8519cacd05232f2721be3ce0c7e3bcc3fdcafd5fe,
+              0xb63fae5e1830cdaddb42fc0dfbab9fc454f183235ba051c5f12eea310a8545b3))
     def test_rows_and_pinch_seq_match_the_step_chain(self, pq):
-        # pinch-seq writes its steps from the rows; the rows themselves are
-        # held to the step chain by test_runs_expand_to_the_step_chain
+        # pinch-seq writes both forms from the runs, in one loop per run
+        # sign, not from the rows, which test_runs_expand_to_the_step_chain
+        # holds to the step chain
         k = TorusKnotParams(*pq)
         oracle = move_chain(k, ORACLE_MOVES)
         if pinch_number(k) <= ORACLE_MOVES:
             out = io.StringIO()
             with redirect_stdout(out):
                 assert cli_main(["pinch-seq", *map(str, pq), "--json"]) == 0
+                assert cli_main(["pinch-seq", *map(str, pq)]) == 0
             steps = [
                 {"from": [s.source.p, s.source.q], "to": [s.target.p, s.target.q],
                  "t": s.t, "h": s.h, "sign": "+" if s.sign > 0 else "-"}
@@ -242,7 +247,11 @@ class TestPinchRuns:
                    "results": {"start": [k.p, k.q], "steps": steps,
                                "pinch_number": len(steps)},
                    "status": "ok"}
-            assert out.getvalue() == json.dumps(doc, separators=(",", ":")) + "\n"
+            lines = [f"{str(s.source):>10} -> {str(s.target):<10} t={s.t:<6} "
+                     f"h={s.h:<6} sign={step['sign']}" for s, step in zip(oracle, steps)]
+            assert out.getvalue().splitlines() == [
+                json.dumps(doc, separators=(",", ":")), *lines,
+                f"pinch number: {len(steps)}"]
 
     @given(jvc_pairs)
     @example((16, 21))
