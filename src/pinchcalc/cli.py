@@ -351,23 +351,22 @@ def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
     checked = 0
     violations = []
     for fid in _members(max_n):
-        n, eps = fid.n, fid.eps
         knot = family_knot(fid)
         runs = pinch_runs(knot)
         strides = [run.stride for run in runs]
         pinch = sum(run.count for run in runs)
-        if pinch != 2 * n:
+        if pinch != 2 * fid.n:
             violations.append({"member": str(fid), "pinch_number": pinch,
-                               "expected": 2 * n})
+                               "expected": 2 * fid.n})
             continue
-        p, q = closed_form_step(n, eps, 0)
-        p1, q1 = closed_form_step(n, eps, 1)
+        p, q = closed_form_step(fid, 0)
+        p1, q1 = closed_form_step(fid, 1)
         # one run, from the k = 0 pair, with the stride from there to k = 1
         if len(runs) != 1 or (runs[0].p, runs[0].q, *strides[0]) != (
                 p, q, p - p1, q - q1):
             knots = PinchSequence(knot, runs).knots()
             for k, pair in enumerate(knots):
-                formula = closed_form_step(n, eps, k)
+                formula = closed_form_step(fid, k)
                 if formula != pair:
                     violations.append({"member": str(fid), "k": k,
                                        "closed_form": formula, "engine": pair})

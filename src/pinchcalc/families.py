@@ -48,19 +48,15 @@ def family_knot(fid: FamilyId) -> TorusKnotParams:
     return TorusKnotParams(4 * fid.n, odd * odd)
 
 
-def closed_form_step(n: int, eps: int, k: int) -> tuple[int, int]:
-    """The (p, q) pair after k pinches on T(4n, (2n+eps)^2).
+def closed_form_step(fid: FamilyId, k: int) -> tuple[int, int]:
+    """The (p, q) pair after k pinches on the member fid, T(4n, (2n+eps)^2).
 
     Returns (4n - 2k, (2n+eps)^2 - 2k(n+eps)), in the order of family_knot
     and PinchSequence.knots(); k = 2n gives (0, 1), the unknot.  eps is +1
     on the K branch and -1 on the J branch.
     """
-    # index() refuses a float, which would otherwise give a float pair
-    n, eps, k = index(n), index(eps), index(k)
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n, eps = fid.n, fid.eps
+    k = index(k)  # refuses a float, which would otherwise give a float pair
     if not 0 <= k <= 2 * n:
         raise ValueError(f"k must lie in [0, {2 * n}], got {k}")
     odd = 2 * n + eps

@@ -12,7 +12,9 @@ pinch_witnesses through pinch_move in test_acceptance.py c08.  per_run_runs, an
 inverse at every run start, checks the witnesses pinch_runs carries from run to
 run in TestPinchRuns::test_carried_witnesses_match_the_run_start_oracle, to 256
 bits, and past Hypothesis's widths in its seeded twin,
-TestPinchRuns::test_wide_runs_match_the_per_run_engine, at 1024-4096 bits.
+TestPinchRuns::test_wide_runs_match_the_per_run_engine, at 1024 bits; wider
+chains need no oracle, since pinch_runs checks 0 < t < p, 0 < h < q and
+ph - qt = 1 at every run, which makes its witnesses the least at any width.
 even_cf_entries, one divmod per entry, checks cf_even_expand, which takes each
 block of +-2 entries at once, in test_arith.py
 TestEvenCF::test_matches_the_step_oracle.

@@ -20,7 +20,6 @@ from pinchcalc.criteria import jvc_criterion, sign_sequence, surgery_result_knot
 from pinchcalc.families import (
     FamilyId,
     closed_form_step,
-    family_knot,
     verify_j_to_k,
     verify_k_independence,
 )
@@ -98,11 +97,12 @@ def test_c02_pinch_numbers():
 
 def test_c03_closed_form_agreement():
     ok = True
-    for eps, lo in ((1, 1), (-1, 2)):
+    for family, eps, lo in (("K", 1, 1), ("J", -1, 2)):
         for n in range(lo, 101):
             knot = TorusKnotParams(4 * n, (2 * n + eps) ** 2)
             knots = pinch_sequence(knot).knots()
-            ok &= [closed_form_step(n, eps, k) for k in range(2 * n + 1)] == knots
+            fid = FamilyId(family, n)
+            ok &= [closed_form_step(fid, k) for k in range(2 * n + 1)] == knots
     assert report(3, "closed form equals engine", ok)
 
 

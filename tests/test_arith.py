@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -56,16 +55,6 @@ class TestExtGcd:
         g, x, y = ext_gcd(a, b)
         assert g == gcd(a, b) > 0
         assert a * x + b * y == g
-
-    def test_bezout_identity_bulk(self):
-        rng = random.Random(20240601)
-        for _ in range(10**4):
-            a = rng.randint(-10**12, 10**12)
-            b = rng.randint(-10**12, 10**12)
-            if a == 0 and b == 0:
-                continue
-            g, x, y = ext_gcd(a, b)
-            assert g == gcd(a, b) and a * x + b * y == g
 
 
 class TestModInverse:

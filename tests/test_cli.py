@@ -98,10 +98,10 @@ def corrupt_closed_form(monkeypatch):
     """Closed form wrong at K_3 steps 1 and 4 and at J_2 step 0."""
     real = cli.closed_form_step
 
-    def fake(n, eps, k):
-        if (n, eps, k) in {(3, 1, 1), (3, 1, 4), (2, -1, 0)}:
+    def fake(fid, k):
+        if (str(fid), k) in {("K_3", 1), ("K_3", 4), ("J_2", 0)}:
             return (0, 1)
-        return real(n, eps, k)
+        return real(fid, k)
 
     monkeypatch.setattr(cli, "closed_form_step", fake)
 
@@ -515,16 +515,18 @@ class TestToJson:
         assert cli.to_json(cli._document("cmd", inputs, spliced, "ok")) == compact(
             cli._document("cmd", inputs, results, "ok"))
 
-    @pytest.mark.parametrize("results, slots, texts", [
-        ({"steps": [cli.JSONText(["[]"])]}, 1, 0),
-        ({"sign": "\0", "steps": cli.JSONText(["[]"])}, 2, 1),
-    ], ids=["in-a-list", "beside-a-nul-string"])
+    @pytest.mark.parametrize("results, message", [
+        ({"steps": [cli.JSONText(["[]"])]}, "JSON text slots: 1, JSONText values: 0"),
+        ({"sign": "\0", "steps": cli.JSONText(["[]"])},
+         "JSON text slots: 2, JSONText values: 1"),
+        # a value _json_value has no form for
+        ({"x": object()}, "object has no JSON form"),
+    ], ids=["in-a-list", "beside-a-nul-string", "no-json-form"])
     def test_a_slot_without_its_value_is_an_internal_error(
-            self, capsys, monkeypatch, results, slots, texts):
+            self, capsys, monkeypatch, results, message):
         _, help_text, arguments = cli.COMMANDS["pinch-number"]
         monkeypatch.setitem(cli.COMMANDS, "pinch-number", (
             lambda p, q: (results, [], "ok"), help_text, arguments))
-        message = f"JSON text slots: {slots}, JSONText values: {texts}"
         assert run_cli(capsys, "pinch-number", "4", "9", "--json") == (
             3, doc("pinch-number", "", f'"error":"{message}"', "error"),
             f"pinchcalc: {message}\n")
@@ -585,6 +587,13 @@ class TestExitCodes:
         # the text is formatted lazily, but the chain is checked before it
         assert run_cli(capsys, "pinch-seq", "4", "9") == (3, "", err)
         assert run_cli(capsys, "pinch-seq", "4", "9", "--quiet") == (3, "", "")
+        # pinch_number reads the continued fraction, not the chain, and
+        # checks its count against the same cap
+        message = "T(4,9) has pinch number 2, over its cap"
+        err = f"pinchcalc: {message}\n"
+        assert run_cli(capsys, "pinch-number", "4", "9", "--json") == (
+            3, doc("pinch-number", "", f'"error":"{message}"', "error"), err)
+        assert run_cli(capsys, "pinch-number", "4", "9") == (3, "", err)
 
     @pytest.mark.parametrize("exc, message", [
         (ZeroDivisionError("division by zero"), "division by zero"),
@@ -593,7 +602,7 @@ class TestExitCodes:
     ], ids=["zero-division", "empty-message"])
     def test_any_other_exception_exits_3(self, capsys, monkeypatch, exc, message):
         # not only a RuntimeError: any fault but bad input is an internal bug
-        def fault(n, eps, k):
+        def fault(fid, k):
             raise exc
 
         monkeypatch.setattr(cli, "closed_form_step", fault)
@@ -907,8 +916,8 @@ class TestVerifyAll:
         # the same stride as the engine's, from another start
         real = cli.closed_form_step
 
-        def shifted(n, eps, k):
-            p, q = real(n, eps, k)
+        def shifted(fid, k):
+            p, q = real(fid, k)
             return p + 2, q
 
         monkeypatch.setattr(cli, "closed_form_step", shifted)

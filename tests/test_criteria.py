@@ -11,10 +11,6 @@ from oracles import CHILD_ENV
 
 
 class TestSignSequence:
-    def test_2_3(self):
-        s = sign_sequence(TorusKnotParams(2, 3))
-        assert [(r.sign, r.count) for r in s.runs] == [(-1, 1)]
-
     def test_unknot_empty(self):
         s = sign_sequence(TorusKnotParams(1, 0))
         assert s.runs == () and s.negative_count == 0

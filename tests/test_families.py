@@ -49,33 +49,25 @@ class TestClosedForm:
         # the premise of the closed_form section's run check: the formula's
         # first term, first difference and length fix every step
         for n in range(1, 201):
-            for eps in (1, -1):
-                (p0, q0), (p1, q1) = (closed_form_step(n, eps, k) for k in (0, 1))
+            for fid in (FamilyId("K", n), FamilyId("J", n)):
+                (p0, q0), (p1, q1) = (closed_form_step(fid, k) for k in (0, 1))
                 for k in range(2 * n + 1):
-                    assert closed_form_step(n, eps, k) == (
+                    assert closed_form_step(fid, k) == (
                         p0 - k * (p0 - p1), q0 - k * (q0 - q1))
                 # k = 2n lands on the unknot; c03 starts J at n = 2, so J_1 is checked here only
-                assert closed_form_step(n, eps, 2 * n) == (0, 1)
+                assert closed_form_step(fid, 2 * n) == (0, 1)
 
     def test_stepwise_agreement(self):
         # pinching the closed form at k gives the closed form at k+1
-        for eps in (1, -1):
-            for n in range(2, 20):
+        for n in range(2, 20):
+            for fid in (FamilyId("K", n), FamilyId("J", n)):
                 for k in range(2 * n):
-                    cur = TorusKnotParams(*closed_form_step(n, eps, k))
+                    cur = TorusKnotParams(*closed_form_step(fid, k))
                     nxt = pinch_move(cur).target
-                    assert (nxt.p, nxt.q) == closed_form_step(n, eps, k + 1)
+                    assert (nxt.p, nxt.q) == closed_form_step(fid, k + 1)
 
 
 class TestJToK:
-    def test_n2_lands_on_unknot(self):
-        chain = move_chain(family_knot(FamilyId("J", 2)), 4)
-        assert len(chain) == 4 and chain[-1].target == TorusKnotParams(0, 1)
-
-    def test_n3_lands_on_4_9(self):
-        chain = move_chain(family_knot(FamilyId("J", 3)), 4)
-        assert len(chain) == 4 and chain[-1].target == TorusKnotParams(4, 9)
-
     def test_holds_at_large_n(self):
         # four pinches on 10^12-scale members, move by move and from the run
         n = 10**12

@@ -105,16 +105,10 @@ REFUSALS = [
      ["family", "K", "0"]),
     # a float n would be built and fail only later, inside gcd
     ("family-float-n", lambda: FamilyId("K", 2.0), "TypeError", None),
-    ("closed-form-k", lambda: closed_form_step(3, 1, 7),
+    ("closed-form-k", lambda: closed_form_step(FamilyId("K", 3), 7),
      "ValueError: k must lie in [0, 6], got 7", None),
-    ("closed-form-eps", lambda: closed_form_step(3, 2, 1),
-     "ValueError: eps must be +1 or -1, got 2", None),
-    ("closed-form-n", lambda: closed_form_step(0, 1, 0),
-     "ValueError: n must be positive, got 0", None),
-    # a float k gave (5.0, 16.0), and a float eps passed the +-1 check
-    ("closed-form-float-k", lambda: closed_form_step(2, 1, 1.5), "TypeError", None),
-    ("closed-form-float-eps", lambda: closed_form_step(2, 1.0, 1), "TypeError", None),
-    ("closed-form-float-n", lambda: closed_form_step(2.0, 1, 1), "TypeError", None),
+    # a float k gave (5.0, 16.0)
+    ("closed-form-float-k", lambda: closed_form_step(FamilyId("K", 2), 1.5), "TypeError", None),
     ("j-to-k-n", lambda: verify_j_to_k(1), "ValueError: needs n >= 2, got 1", None),
     ("k-independence-max-n", lambda: verify_k_independence(0),
      "ValueError: needs max_n >= 1, got 0", None),

@@ -82,17 +82,9 @@ class TestLeastAbsoluteResidue:
 
 
 class TestTwoBridgeNormalize:
-    def test_stevedore_slopes(self):
-        k = two_bridge_normalize(ReducedFraction(1, 5), ReducedFraction(2, 1))
-        assert k.normalized == ReducedFraction(-2, 9)
-
     def test_infinity_first_slope(self):
         k = two_bridge_normalize(ReducedFraction(1, 0), ReducedFraction(7, 9))
         assert k.normalized == ReducedFraction(-2, 9)
-
-    def test_n2_plus_branch(self):
-        k = two_bridge_normalize(ReducedFraction(1, 7), ReducedFraction(4, 3))
-        assert k.normalized == ReducedFraction(-4, 25)
 
     @given(st.tuples(slopes(), slopes()).filter(lambda t: t[0] != t[1]),
            st.integers(-20, 20))
@@ -146,6 +138,8 @@ class TestSchubertEquivalence:
 
     def test_same_fraction(self):
         assert two_bridge_equivalent(self._tbk(-2, 9), self._tbk(-2, 9))
+        # determinant 0: 1/0 is the one fraction with it
+        assert two_bridge_equivalent(self._tbk(1, 0), self._tbk(1, 0))
 
     def test_distinct(self):
         assert not two_bridge_equivalent(self._tbk(2, 9), self._tbk(-2, 9))
