@@ -11,7 +11,13 @@ seeded fractions of 64 to 256 bits and on seeded fractions near +-1,
 whose expansions hold blocks of thousands of +-2 entries, tangle apply on
 a few fractions, and verify in every mode at --max-n 1, 2, 5, 40, 300 and
 3000, the verify bound.  The line "verify usage" digests verify with the mode "bogus" at
-those bounds, argparse's usage error.  Two more lines digest the pinch
+those bounds, argparse's usage error.  The line "argv forms" digests
+valid argv in other forms than command first and flags last: a flag
+before the command or between tangle and its op, repeated flags, and
+ints written +5, 007, 1_0 and -0.  The line "usage" digests each command
+but verify with a bad int, one argument too few or too many, a bad
+family, the abbreviation --js, "--" and -h: argv that only argparse
+reads.  Two more lines digest the pinch
 tables that print_pinch_tables.py prints for K and J at --max-n 12 (each
 chain from PinchSequence.knots()), and repr(sweep_termination(3000)): the
 pairs the termination scan checks and its violations.  Two checkouts print
@@ -21,8 +27,9 @@ the same lines exactly when their outputs are identical:
          <(PYTHONPATH=src python3 scripts/cli_digests.py)
 
 Compare two checkouts under one interpreter: argparse words its usage
-errors differently from one Python patch release to another, so the
-"verify usage" digest depends on the interpreter.  The first line names it.
+errors and help differently from one Python patch release to another, so
+the "verify usage" and "usage" digests depend on the interpreter.  The
+first line names it.
 """
 
 import argparse
@@ -50,6 +57,32 @@ FRACTIONS_PER_WIDTH = 8
 # a fraction near +-1 is (den - g)/den with den // g about this long a block
 BLOCK_LENGTHS = (1000, 5000)
 MEMBER_COMMANDS = ("family", "surgery-knot", "report")
+# each command but verify in its canonical form, with valid arguments
+CANONICAL = {
+    "pinch-move": ["pinch-move", "4", "9"],
+    "pinch-seq": ["pinch-seq", "8", "25"],
+    "pinch-number": ["pinch-number", "20", "81"],
+    "family": ["family", "K", "3"],
+    "surgery-knot": ["surgery-knot", "J", "2"],
+    "tangle cf": ["tangle", "cf", "2", "-9"],
+    "tangle apply": ["tangle", "apply", "1", "0", "-7", "1", "4", "3"],
+    "jvc": ["jvc", "8", "9"],
+    "report": ["report", "K", "1"],
+}
+ARGV_FORMS = (
+    ["--json", "pinch-move", "4", "9"],
+    ["--quiet", "family", "K", "3"],
+    ["tangle", "--json", "cf", "2", "-9"],
+    ["--quiet", "tangle", "--json", "apply", "1", "0", "-7", "1", "4", "3"],
+    ["report", "J", "--json", "2", "--json"],
+    ["pinch-seq", "--quiet", "--json", "8", "25"],
+    ["pinch-number", "+5", "007"],
+    ["surgery-knot", "K", "007"],
+    ["family", "J", "+5"],
+    ["tangle", "apply", "1", "0", "1_0", "1", "4", "3"],
+    ["tangle", "apply", "1", "-0", "-7", "1", "4", "3"],
+    ["jvc", "1_0", "+11"],
+)
 
 
 def random_pairs(rng):
@@ -105,6 +138,15 @@ def invocations():
         for max_n in (1, 2, 5, 40, 300, 3000):
             line = "verify" if mode in MODES else "verify usage"
             yield line, ["verify", mode, "--max-n", str(max_n)]
+    for argv in ARGV_FORMS:
+        yield "argv forms", argv
+    for command, argv in CANONICAL.items():
+        words = len(command.split())
+        yield from (("usage", form) for form in (
+            [*argv[:-1], "x"], argv[:-1], [*argv, "3"], [*argv, "--js"],
+            [*argv[:words], "--", *argv[words:]], [*argv[:words], "-h"]))
+        if command in MEMBER_COMMANDS:
+            yield "usage", [command, "L", argv[-1]]
 
 
 def sha256(text):
@@ -124,7 +166,7 @@ def main() -> None:
                             ).parse_args()
     # argparse wraps usage errors to the terminal width
     os.environ["COLUMNS"] = "80"
-    lines = [*COMMANDS, "verify usage"]
+    lines = [*COMMANDS, "verify usage", "argv forms", "usage"]
     digests = {line: hashlib.sha256() for line in lines}
     counts = dict.fromkeys(lines, 0)
     print(f"python {platform.python_version()}")

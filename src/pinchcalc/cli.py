@@ -4,9 +4,19 @@ Exit codes: 0 on success or a passing verification, 1 on a verification
 violation, 2 on usage or domain errors, 3 on an internal error (a bug).
 --json swaps the human-readable text for a single machine-readable report
 document.
+
+Two readers turn an argv into a command and its arguments.  _plain_args
+reads the plain form of every command whose arguments are all ints or
+choices (all but verify) straight from the COMMANDS table: the command's
+words, then exactly its arguments, with --json and --quiet as exact
+tokens anywhere.  It gives what argparse would give, or None, and then
+argparse reads the same argv.  argparse stays for everything else, and
+is the oracle the tests hold _plain_args to: it writes help and usage
+errors, reads abbreviated or --flag=value flags and "--", and reads
+verify with its --max-n option.  It is imported only then, so a plain
+command starts without it.
 """
 
-import argparse
 import functools
 import json
 import sys
@@ -480,8 +490,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """One parser per COMMANDS entry; each sets args.command to the entry's name."""
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS,
@@ -514,25 +526,92 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> "argparse.ArgumentParser":
     """build_parser() once per process.  argparse reads the terminal width
     each time it formats, so help still wraps to the COLUMNS of each call."""
     return build_parser()
 
 
+# the commands _plain_args reads, by their words: each whose arguments are
+# all ints or choices, as (name, [(argument, its choices or None for an int)])
+_PLAIN = {
+    tuple(command.split(" ")): (command, [
+        (arg, None) if isinstance(arg, str) else (arg[0], arg[1]["choices"])
+        for arg in arguments])
+    for command, (_, _, arguments) in COMMANDS.items()
+    if all(isinstance(arg, str) or arg[1].keys() == {"choices"} for arg in arguments)
+}
+
+
+def _plain_args(argv):
+    """vars(_parser().parse_args(argv)) for an argv in plain form, else None.
+
+    The plain form is the words of one _PLAIN command ("tangle cf" is two),
+    then exactly its arguments: each int as int() reads it, each choice one
+    of its choices.  --json and --quiet are exact tokens, anywhere and
+    repeated; any other token that starts with "-" must be "-" and ASCII
+    digits, which argparse also reads as a negative number.  Anything else
+    is None: -h, --, the abbreviation --js, --json=1, a bad int or choice,
+    a missing or extra argument, and verify, whose --max-n is an option.
+    argparse then reads the argv, and so writes every help text and usage
+    error.  An int wider than the interpreter's digit limit fails int() and
+    is left to argparse, which refuses it.  The keys come in argparse's
+    order: command, each flag first given before the command's last word,
+    the arguments, then each flag first given after it; there is no
+    tangle_op.
+    """
+    words = []
+    flags = {}  # each flag given: how many words came before its first token
+    for token in argv:
+        if token == "--json" or token == "--quiet":
+            flags.setdefault(token[2:], len(words))
+        elif token[:1] == "-" and not (token[1:].isdigit() and token.isascii()):
+            return None
+        else:
+            words.append(token)
+    for last in (0, 1):
+        plain = _PLAIN.get(tuple(words[:last + 1]))
+        if plain:
+            break
+    else:
+        return None
+    command, arguments = plain
+    values = words[last + 1:]
+    if len(values) != len(arguments):
+        return None
+    inputs = {"command": command}
+    inputs.update((flag, True) for flag, seen in flags.items() if seen <= last)
+    for (name, choices), word in zip(arguments, values):
+        if choices is None:
+            try:
+                inputs[name] = int(word)
+            except ValueError:
+                return None
+        elif word in choices:
+            inputs[name] = word
+        else:
+            return None
+    inputs.update((flag, True) for flag, seen in flags.items() if seen > last)
+    return inputs
+
+
 def cli_main(argv=None) -> int:
-    try:
-        inputs = vars(_parser().parse_args(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    inputs = _plain_args(argv)
+    if inputs is None:
+        try:
+            inputs = vars(_parser().parse_args(argv))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     # what is left are the parsed arguments of the subcommand, in declaration order
     command = inputs.pop("command")
     inputs.pop("tangle_op", None)
     as_json = inputs.pop("json", False)
     quiet = inputs.pop("quiet", False)
-    # argparse refuses an int argument wider than the interpreter's limit on
-    # int-to-str digits (4300 by default), which bounds the input; an output
-    # may still be wider, so the limit is lifted while it is built
+    # an int argument wider than the interpreter's limit on int-to-str
+    # digits (4300 by default) fails _plain_args and argparse refuses it,
+    # which bounds the input; an output may still be wider, so the limit is
+    # lifted while it is built
     max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if max_digits:
         sys.set_int_max_str_digits(0)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchcalc
@@ -44,8 +44,9 @@ GOLDEN_REPORT_J_2 = doc(
     '"jvc_equals_pinch_minus_one":false',
 )
 # scripts/cli_digests.py: every line that does not depend on the interpreter,
-# all but the first (which names it) and "verify usage" (argparse words its
-# usage errors differently from one Python release to another)
+# all but the first (which names it), "verify usage" and "usage" (argparse
+# words its usage errors and help differently from one Python release to
+# another)
 CLI_DIGESTS = (
     "2323d1c7bd9755c35f772d76c788b6b396cb8661d34c3d3105082fd4bd08b720  "
     "pinch-move  (578 calls)\n"
@@ -67,6 +68,8 @@ CLI_DIGESTS = (
     "report  (120 calls)\n"
     "a42e6d96c6dc8b0e2c1cf5aa6602d9a3495c7160c761183a84c907e78262e3f5  "
     "verify  (36 calls)\n"
+    "5ebba820d343b44a3b8fbf833d2ee7cdd6a4f81de1d481ef0b77d5bc7787a556  "
+    "argv forms  (24 calls)\n"
     "3e24b917c18b30002b967ba30aa37b17d5a56b33ab9314d689202a23a74ea181  "
     "print_pinch_tables.py --max-n 12\n"
     "588453235f84dcfd81f3ca8148b11823935c14035072988ab826cf2c07f50bc2  "
@@ -562,6 +565,70 @@ class TestHelpAndUsage:
         assert err.splitlines()[-1].startswith(error)
 
 
+# ints as int() reads them (a sign, leading zeros, an underscore, a space),
+# a bad int, one past the digit limit, and -1_0, which int() reads but
+# argparse takes for an option
+INT_WORDS = ["3", "-1", "-0", "007", "+5", "1_0", " 5", "x", "1" * 4301, "-1_0"]
+# tokens that only argparse reads
+ODD_TOKENS = ["-", "--", "--js", "--json=1", "-h"]
+FLAGS = ["--json", "--quiet"]
+COMMAND_WORDS = sorted({word for command in cli.COMMANDS for word in command.split()})
+
+
+@st.composite
+def near_plain_argv(draw):
+    """A command's words and a word for each of its arguments, give or take
+    one, with flags and other tokens anywhere."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = command.split()
+    for arg in cli.COMMANDS[command][2]:
+        choices = isinstance(arg, tuple) and arg[1].get("choices")
+        argv.append(draw(st.sampled_from([*choices, "L"] if choices else INT_WORDS)))
+    arity = draw(st.sampled_from(["same"] * 4 + ["fewer", "more"]))
+    if arity != "same":
+        argv = argv[:-1] if arity == "fewer" else [*argv, "3"]
+    for token in draw(st.lists(st.sampled_from(FLAGS * 4 + ODD_TOKENS), max_size=4)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+class TestPlainArgs:
+    """_plain_args against its oracle, argparse."""
+
+    @settings(max_examples=500)
+    @given(st.one_of(
+        near_plain_argv(),
+        st.lists(st.sampled_from(COMMAND_WORDS + ["K", "J", "L"] + INT_WORDS
+                                 + ODD_TOKENS + FLAGS), max_size=9)))
+    def test_agrees_with_argparse(self, argv):
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            try:
+                parsed = vars(cli._parser().parse_args(argv))
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}, which _plain_args takes")
+            parsed.pop("tangle_op", None)
+            # the order of the keys is the order of the document's inputs
+            assert list(parsed.items()) == list(plain.items())
+
+    # each command in its canonical form: all but verify take the fast
+    # path, so that it cannot go dead unnoticed
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_takes_every_command_but_verify(self, command):
+        argv = command.split()
+        for arg in cli.COMMANDS[command][2]:
+            if isinstance(arg, str):
+                argv.append("3")
+            elif "choices" in arg[1]:
+                argv.append(arg[1]["choices"][0])
+        assert (cli._plain_args(argv) is None) == (command == "verify")
+
+    def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["pinchcalc", "pinch-number", "4", "9"])
+        assert cli_main() == 0
+        assert capsys.readouterr() == ("2\n", "")
+
+
 class TestFractionFormat:
     def test_sign_moves_to_denominator(self):
         assert fmt_fraction(ReducedFraction(-2, 9)) == "2/-9"
@@ -800,18 +867,37 @@ class TestPackage:
     @pytest.mark.parametrize("module", LOADS)
     def test_importing_a_module_loads_only_it(self, module):
         # nor dataclasses, or the inspect it imports: the value classes are
-        # hand-written, and either would add a few ms to every command start
+        # hand-written, and either would add a few ms to every command start.
+        # Nor argparse: cli imports it only to build its parser
         script = ("import sys\nbefore = set(sys.modules)\n"
                   f"import pinchcalc.{module}\n"
                   "print(*sorted(n for n in sys.modules"
                   " if n.partition('.')[0] == 'pinchcalc'))\n"
-                  "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+                  "print(*sorted({'argparse', 'dataclasses', 'inspect'}"
+                  " & set(sys.modules) - before))")
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
             env=CHILD_ENV, check=True,
         )
         assert [line.split() for line in proc.stdout.splitlines()] == [
             ["pinchcalc", *(f"pinchcalc.{name}" for name in self.LOADS[module])], []]
+
+    def test_a_plain_command_runs_without_argparse(self):
+        # a plain command is read from the COMMANDS table; --help, like every
+        # form that argparse reads, still imports it
+        script = ("import sys\nbefore = set(sys.modules)\n"
+                  "from pinchcalc.cli import cli_main\n"
+                  "for argv in (['pinch-number', '4', '9', '--json'], ['--help']):\n"
+                  "    print(cli_main(argv), 'argparse' in set(sys.modules) - before)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=CHILD_ENV, check=True,
+        )
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == [doc("pinch-number", '"p":4,"q":9',
+                                 '"start":[4,9],"pinch_number":2').rstrip(), "0 False"]
+        assert lines[2].startswith("usage: pinchcalc ")
+        assert lines[-1] == "0 True"
 
     def test_no_module_asserts(self):
         # the one guarantee that python -O changes nothing: it strips assert
