@@ -13,14 +13,15 @@ a few fractions, and verify in every mode at --max-n 1, 2, 5, 40, 300 and
 3000, the verify bound.  The line "verify usage" digests verify with the mode "bogus" at
 those bounds, argparse's usage error.  The line "argv forms" digests
 valid argv in other forms than command first and flags last: a flag
-before the command or between tangle and its op, repeated flags, and
-ints written +5, 007, 1_0 and -0.  The line "usage" digests each command
-but verify with a bad int, one argument too few or too many, a bad
-family, the abbreviation --js, "--" and -h: argv that only argparse
-reads.  Two more lines digest the pinch
-tables that print_pinch_tables.py prints for K and J at --max-n 12 (each
-chain from PinchSequence.knots()), and repr(sweep_termination(3000)): the
-pairs the termination scan checks and its violations.  Two checkouts print
+before the command or between tangle and its op, repeated flags, ints
+written +5, 007, 1_0 and -0, and verify with a flag first, --max-n
+before the mode, --max-n=3 and the abbreviation --max.  The line "usage"
+digests each command but verify with a bad int, one argument too few or
+too many, a bad family, the abbreviation --js, "--" and -h: argv that
+only argparse reads.  Two more lines digest the pinch tables that
+print_pinch_tables.py prints for K and J at --max-n 12 (each chain from
+PinchSequence.knots()), and repr(sweep_termination(3000)): the pairs the
+termination scan checks and its violations.  Two checkouts print
 the same lines exactly when their outputs are identical:
 
     diff <(PYTHONPATH=old/src python3 scripts/cli_digests.py) \\
@@ -82,6 +83,12 @@ ARGV_FORMS = (
     ["tangle", "apply", "1", "0", "1_0", "1", "4", "3"],
     ["tangle", "apply", "1", "-0", "-7", "1", "4", "3"],
     ["jvc", "1_0", "+11"],
+    ["--json", "verify", "tables"],
+    ["--quiet", "verify", "tables"],
+    ["verify", "--max-n", "3", "all"],
+    ["verify", "all", "--max-n=3", "--json"],
+    ["verify", "--max", "3", "corollaries"],
+    ["verify", "tables", "--json", "--json"],
 )
 
 

@@ -5,22 +5,20 @@ violation, 2 on usage or domain errors, 3 on an internal error (a bug).
 --json swaps the human-readable text for a single machine-readable report
 document.
 
-Two readers turn an argv into a command and its arguments.  _plain_args
-reads the plain form of every command whose arguments are all ints or
-choices (all but verify) straight from the COMMANDS table: the command's
-words, then exactly its arguments, with --json and --quiet as exact
-tokens anywhere.  It gives what argparse would give, or None, and then
-argparse reads the same argv.  argparse stays for everything else, and
-is the oracle the tests hold _plain_args to: it writes help and usage
-errors, reads abbreviated or --flag=value flags and "--", and reads
-verify with its --max-n option.  It is imported only then, so a plain
-command starts without it.
+Two readers turn an argv into (command, inputs, as_json, quiet).
+_plain_args reads the plain form of every command without an option (all
+but verify) straight from the COMMANDS table, or gives None, and then
+argparse reads the same argv.  argparse is the oracle the tests hold
+_plain_args to: it writes help and usage errors, reads abbreviated or
+--flag=value flags and "--", and reads verify with its --max-n option.  It
+is imported only then, so a plain command starts without it.
 """
 
 import functools
 import json
 import sys
 from itertools import chain, islice
+from operator import index
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .criteria import (
@@ -385,8 +383,8 @@ def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
 
 
 def check_j_to_k(max_n: int) -> dict:
-    failures = [n for n in range(2, max_n + 1) if not verify_j_to_k(n)]
-    return {"checked": max_n - 1, "violations": failures}
+    ns = range(2, max_n + 1)
+    return {"checked": len(ns), "violations": [n for n in ns if not verify_j_to_k(n)]}
 
 
 def check_k_independence(max_n: int) -> dict:
@@ -446,6 +444,7 @@ def verify_all(max_n: int, mode: str) -> tuple[dict, str]:
     when any section found one, "ok" otherwise.  Raises ValueError for a
     mode not in MODES, and for max_n below 2 or above VERIFY_MAX_N.
     """
+    max_n = index(max_n)  # refuses a float, in every mode
     if mode not in MODES:
         raise ValueError(f"unknown verify mode {mode!r}, expected one of {list(MODES)}")
     if max_n < 2:
@@ -468,9 +467,10 @@ def run_verify(mode, max_n):
 # parser and dispatch
 
 
-# each command: (handler, help, arguments); a bare argument name is an int
-KNOT = ["p", "q"]
-MEMBER = [("family", {"choices": ["K", "J"]}), "n"]
+# each command: (handler, help, arguments), each argument (name, choices)
+# with choices None for an int; an option, "--name", adds its default
+KNOT = [("p", None), ("q", None)]
+MEMBER = [("family", ["K", "J"]), ("n", None)]
 COMMANDS = {
     "pinch-move": (run_pinch_move, "one pinch move with witnesses and sign", KNOT),
     "pinch-seq": (run_pinch_seq, "the full pinch sequence down to the unknot", KNOT),
@@ -479,14 +479,13 @@ COMMANDS = {
     "surgery-knot": (run_surgery_knot, "two-bridge knot left by the band surgeries",
                      MEMBER),
     "tangle cf": (run_tangle_cf, "all-even continued fraction of num/den",
-                  ["num", "den"]),
+                  [("num", None), ("den", None)]),
     "tangle apply": (run_tangle_apply, "apply [[a,b],[c,d]] to the slope num/den",
-                     ["a", "b", "c", "d", "num", "den"]),
+                     [(name, None) for name in ("a", "b", "c", "d", "num", "den")]),
     "jvc": (run_jvc, "sign sequence and the lower-bound criterion", KNOT),
     "report": (run_report, "full counterexample certificate", MEMBER),
     "verify": (run_verify, "recompute and diff the published results",
-               [("mode", {"choices": list(MODES)}),
-                ("--max-n", {"type": int, "default": 50, "dest": "max_n"})]),
+               [("mode", list(MODES)), ("--max-n", None, 50)]),
 }
 
 
@@ -519,9 +518,9 @@ def build_parser() -> "argparse.ArgumentParser":
         leaf = (tangle_ops if group else sub).add_parser(
             name, parents=[common], help=help_text)
         leaf.set_defaults(command=command)
-        for arg in arguments:
-            arg_name, kwargs = (arg, {"type": int}) if isinstance(arg, str) else arg
-            leaf.add_argument(arg_name, **kwargs)
+        for arg_name, choices, *default in arguments:
+            leaf.add_argument(arg_name, type=None if choices else int, choices=choices,
+                              default=default[0] if default else None)
     return parser
 
 
@@ -532,21 +531,21 @@ def _parser() -> "argparse.ArgumentParser":
     return build_parser()
 
 
-# the commands _plain_args reads, by their words: each whose arguments are
-# all ints or choices, as (name, [(argument, its choices or None for an int)])
-_PLAIN = {
-    tuple(command.split(" ")): (command, [
-        (arg, None) if isinstance(arg, str) else (arg[0], arg[1]["choices"])
-        for arg in arguments])
-    for command, (_, _, arguments) in COMMANDS.items()
-    if all(isinstance(arg, str) or arg[1].keys() == {"choices"} for arg in arguments)
-}
+def _parsed_args(argv):
+    """(command, inputs, as_json, quiet) from argparse, which raises
+    SystemExit for help and for a usage error."""
+    args = vars(_parser().parse_args(argv))
+    args.pop("tangle_op", None)
+    command, as_json, quiet = (args.pop("command"), args.pop("json", False),
+                               args.pop("quiet", False))
+    # what is left are the command's arguments, in declaration order
+    return command, args, as_json, quiet
 
 
 def _plain_args(argv):
-    """vars(_parser().parse_args(argv)) for an argv in plain form, else None.
+    """_parsed_args(argv) for an argv in plain form, else None.
 
-    The plain form is the words of one _PLAIN command ("tangle cf" is two),
+    The plain form is the words of one COMMANDS entry ("tangle cf" is two),
     then exactly its arguments: each int as int() reads it, each choice one
     of its choices.  --json and --quiet are exact tokens, anywhere and
     repeated; any other token that starts with "-" must be "-" and ASCII
@@ -555,33 +554,34 @@ def _plain_args(argv):
     a missing or extra argument, and verify, whose --max-n is an option.
     argparse then reads the argv, and so writes every help text and usage
     error.  An int wider than the interpreter's digit limit fails int() and
-    is left to argparse, which refuses it.  The keys come in argparse's
-    order: command, each flag first given before the command's last word,
-    the arguments, then each flag first given after it; there is no
-    tangle_op.
+    is left to argparse, which refuses it.
     """
     words = []
-    flags = {}  # each flag given: how many words came before its first token
+    as_json = quiet = False
     for token in argv:
-        if token == "--json" or token == "--quiet":
-            flags.setdefault(token[2:], len(words))
+        if token == "--json":
+            as_json = True
+        elif token == "--quiet":
+            quiet = True
         elif token[:1] == "-" and not (token[1:].isdigit() and token.isascii()):
             return None
         else:
             words.append(token)
-    for last in (0, 1):
-        plain = _PLAIN.get(tuple(words[:last + 1]))
-        if plain:
-            break
-    else:
+    # the command is the first word or the first two; no command word holds a space
+    if not words or " " in words[0]:
         return None
-    command, arguments = plain
-    values = words[last + 1:]
+    named = 1 if words[0] in COMMANDS else 2
+    command = " ".join(words[:named])
+    if command not in COMMANDS:
+        return None
+    arguments = COMMANDS[command][2]
+    values = words[named:]
     if len(values) != len(arguments):
         return None
-    inputs = {"command": command}
-    inputs.update((flag, True) for flag, seen in flags.items() if seen <= last)
-    for (name, choices), word in zip(arguments, values):
+    inputs = {}
+    for (name, choices, *_), word in zip(arguments, values):
+        if name[0] == "-":
+            return None
         if choices is None:
             try:
                 inputs[name] = int(word)
@@ -591,23 +591,18 @@ def _plain_args(argv):
             inputs[name] = word
         else:
             return None
-    inputs.update((flag, True) for flag, seen in flags.items() if seen > last)
-    return inputs
+    return command, inputs, as_json, quiet
 
 
 def cli_main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    inputs = _plain_args(argv)
-    if inputs is None:
+    args = _plain_args(argv)
+    if args is None:
         try:
-            inputs = vars(_parser().parse_args(argv))
+            args = _parsed_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-    # what is left are the parsed arguments of the subcommand, in declaration order
-    command = inputs.pop("command")
-    inputs.pop("tangle_op", None)
-    as_json = inputs.pop("json", False)
-    quiet = inputs.pop("quiet", False)
+    command, inputs, as_json, quiet = args
     # an int argument wider than the interpreter's limit on int-to-str
     # digits (4300 by default) fails _plain_args and argparse refuses it,
     # which bounds the input; an output may still be wider, so the limit is

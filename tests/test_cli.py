@@ -68,8 +68,8 @@ CLI_DIGESTS = (
     "report  (120 calls)\n"
     "a42e6d96c6dc8b0e2c1cf5aa6602d9a3495c7160c761183a84c907e78262e3f5  "
     "verify  (36 calls)\n"
-    "5ebba820d343b44a3b8fbf833d2ee7cdd6a4f81de1d481ef0b77d5bc7787a556  "
-    "argv forms  (24 calls)\n"
+    "cd3d3cce6b82da5a1d1e8e1b05ceea4d6b36baa86236c2a83bb7b07cb1ad2dfc  "
+    "argv forms  (36 calls)\n"
     "3e24b917c18b30002b967ba30aa37b17d5a56b33ab9314d689202a23a74ea181  "
     "print_pinch_tables.py --max-n 12\n"
     "588453235f84dcfd81f3ca8148b11823935c14035072988ab826cf2c07f50bc2  "
@@ -577,12 +577,12 @@ COMMAND_WORDS = sorted({word for command in cli.COMMANDS for word in command.spl
 
 @st.composite
 def near_plain_argv(draw):
-    """A command's words and a word for each of its arguments, give or take
+    """A command's words (or a two-word command as one token, which
+    argparse refuses) and a word for each of its arguments, give or take
     one, with flags and other tokens anywhere."""
     command = draw(st.sampled_from(list(cli.COMMANDS)))
-    argv = command.split()
-    for arg in cli.COMMANDS[command][2]:
-        choices = isinstance(arg, tuple) and arg[1].get("choices")
+    argv = draw(st.sampled_from([command.split(), [command]]))
+    for _, choices, *_ in cli.COMMANDS[command][2]:
         argv.append(draw(st.sampled_from([*choices, "L"] if choices else INT_WORDS)))
     arity = draw(st.sampled_from(["same"] * 4 + ["fewer", "more"]))
     if arity != "same":
@@ -604,23 +604,21 @@ class TestPlainArgs:
         plain = cli._plain_args(argv)
         if plain is not None:
             try:
-                parsed = vars(cli._parser().parse_args(argv))
+                parsed = cli._parsed_args(argv)
             except SystemExit:
                 pytest.fail(f"argparse refuses {argv}, which _plain_args takes")
-            parsed.pop("tangle_op", None)
-            # the order of the keys is the order of the document's inputs
-            assert list(parsed.items()) == list(plain.items())
+            assert plain == parsed
+            # the order of the arguments is the order of the document's inputs
+            assert list(plain[1].items()) == list(parsed[1].items())
 
     # each command in its canonical form: all but verify take the fast
     # path, so that it cannot go dead unnoticed
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_takes_every_command_but_verify(self, command):
         argv = command.split()
-        for arg in cli.COMMANDS[command][2]:
-            if isinstance(arg, str):
-                argv.append("3")
-            elif "choices" in arg[1]:
-                argv.append(arg[1]["choices"][0])
+        for name, choices, *_ in cli.COMMANDS[command][2]:
+            if name[0] != "-":
+                argv.append(choices[0] if choices else "3")
         assert (cli._plain_args(argv) is None) == (command == "verify")
 
     def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
@@ -968,6 +966,9 @@ class TestVerifyAll:
         assert list(verify_all(5, "corollaries")[0]) == [
             "j_to_k", "k_independence",
         ]
+        # a section counts the members it checks, none below n = 2
+        for section in cli.check_j_to_k, cli.check_pinch_numbers_and_closed_form:
+            assert section(0) == {"checked": 0, "violations": []}
 
     def test_refuses_range_over_bound(self, monkeypatch):
         # `verify all` reads runs, not moves: about 0.2 s at N = 3000

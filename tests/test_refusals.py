@@ -145,6 +145,8 @@ REFUSALS = [
     ("verify-mode", lambda: verify_all(5, "bogus"),
      "ValueError: unknown verify mode 'bogus', expected one of "
      "['tables', 'corollaries', 'all']", None),
+    # the tables section, which does not read max_n, would otherwise pass it
+    ("verify-float-max-n", lambda: verify_all(5.0, "tables"), "TypeError", None),
     ("verify-small", lambda: verify_all(1, "all"), "ValueError: needs max_n >= 2, got 1",
      ["verify", "all", "--max-n", "1"]),
     # refused before any section runs
