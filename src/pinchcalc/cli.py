@@ -99,8 +99,8 @@ def to_json(doc: dict) -> str:
     texts = [v for v in doc["results"].values() if isinstance(v, JSONText)]
     dumped = json.dumps(doc, separators=(",", ":"), default=_json_value)
     head, *tails = dumped.split('"\\u0000"')
-    # no document string is "\0": inputs are ints or argparse choices, result
-    # strings family letters, signs, member names, statuses and error messages
+    # no document string is "\0": inputs are ints or choices from COMMANDS,
+    # result strings family letters, signs, member names, statuses and errors
     if len(tails) != len(texts):
         raise RuntimeError(f"JSON text slots: {len(tails)}, JSONText values: {len(texts)}")
     # one join: a list grown by += from the chunks raises SystemError on exhausted memory
@@ -262,30 +262,17 @@ def run_jvc(p, q):
 def run_report(family, n):
     fid = FamilyId(family, n)
     rep = counterexample_report(fid)
-    # counterexample_report raises unless the slice family is recognized
-    results = {
-        "family": fid.family,
-        "n": fid.n,
-        "knot": rep.knot,
-        "pinch_number": rep.pinch_number,
-        "band_count": rep.band_count,
-        "slice_fraction": rep.slice_fraction,
-        "slice_cf": rep.slice_cf,
-        "slice_recognized": True,
-        "jvc_negative_count": rep.jvc_negative_count,
-        "jvc_equals_pinch_minus_one": rep.jvc_equals_pinch_minus_one,
-    }
     text = [
         f"{fid} = T{rep.knot}",
         f"pinch number: {rep.pinch_number}",
         f"band surgeries to a slice knot: {rep.band_count}",
         f"slice knot fraction: {fmt_fraction(rep.slice_fraction)}",
         f"even continued fraction: {rep.slice_cf}",
-        "slice family recognized: yes",
+        f"slice family recognized: {_yesno(rep.slice_recognized)}",
         f"negative pinch signs: {rep.jvc_negative_count} "
         f"(equals pinch number - 1: {_yesno(rep.jvc_equals_pinch_minus_one)})",
     ]
-    return results, text, "ok"
+    return rep._asdict(), text, "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ def sign_sequence(k: TorusKnotParams) -> PinchSequence:
 def jvc_criterion(k: TorusKnotParams) -> PinchSequence:
     """The combinatorial Jabuka-Van Cott test for p even, q odd, both > 1.
 
-    The lower bound nu - sigma/2 equals pinch number minus one exactly when
-    one single move in the pinch sequence has negative sign.  Only that
+    The lower bound upsilon - sigma/2 equals pinch number minus one exactly
+    when one single move in the pinch sequence has negative sign.  Only that
     combinatorial verdict is computed; no invariant values are produced.
     """
     if k.is_unknot() or k.p % 2 != 0 or k.q % 2 != 1:
@@ -39,10 +39,12 @@ def jvc_criterion(k: TorusKnotParams) -> PinchSequence:
 
 
 class CounterexampleReport(namedtuple("CounterexampleReport", (
-        "knot pinch_number band_count slice_fraction slice_cf"
-        " jvc_negative_count jvc_equals_pinch_minus_one"))):
-    """The certificate of one member; the caller holds its FamilyId.  A named
-    tuple, as no caller compares it with a plain tuple."""
+        "family n knot pinch_number band_count slice_fraction slice_cf"
+        " slice_recognized jvc_negative_count jvc_equals_pinch_minus_one"))):
+    """The certificate of one member, its fields the results of the report
+    document in order.  slice_recognized is always True: counterexample_report
+    raises otherwise.  A named tuple, as no caller compares it with a plain
+    tuple."""
 
     __slots__ = ()
 
@@ -86,5 +88,6 @@ def counterexample_report(fid: FamilyId) -> CounterexampleReport:
             f"{fid}: surgery fraction {bridge.normalized} expands to {cf}, "
             "not in the slice family"
         )
-    return CounterexampleReport(knot, pinch, 2 * n - 1, bridge.normalized, cf,
-                                chain.negative_count, chain.equals_pinch_minus_one)
+    return CounterexampleReport(fid.family, n, knot, pinch, 2 * n - 1,
+                                bridge.normalized, cf, True, chain.negative_count,
+                                chain.equals_pinch_minus_one)

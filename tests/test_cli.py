@@ -784,6 +784,9 @@ class TestSubprocessHarness:
          "coprime pairs checked: 1042 (2 <= p < q <= 60)"),
         (None, ["print_pinch_tables.py", "--max-n", "2"], 0,
          "K_1 = (4,9) -> (2,5) -> (0,1)   [2 pinches]"),
+        # the whole stdout: a script that ignored --family would add K lines
+        (None, ["print_pinch_tables.py", "--family", "J", "--max-n", "2"], 0,
+         ["J_2 = (8,9) -> (6,7) -> (4,5) -> (2,3) -> (0,1)   [4 pinches]", ""]),
         (None, ["cli_digests.py"], 0, CLI_DIGESTS),
         # about 3e9 pairs, refused before the walk starts
         (None, ["termination_scan.py", "--limit", "100000"], 2,
@@ -797,7 +800,7 @@ class TestSubprocessHarness:
         (("pinch_number", lambda k: 1 // 0),
          ["termination_scan.py", "--limit", "10"], 3,
          "termination_scan.py: internal error: integer division or modulo by zero"),
-    ], ids=["termination-scan", "pinch-tables", "cli-digests",
+    ], ids=["termination-scan", "pinch-tables", "pinch-tables-family", "cli-digests",
             "termination-scan-refused", "termination-scan-internal-error",
             "termination-scan-any-exception"])
     def test_script(self, capsys, monkeypatch, patch, script, code, lines):
@@ -817,7 +820,12 @@ class TestSubprocessHarness:
             exited = exc.code
         out, err = capsys.readouterr()
         assert exited == code
-        assert set(lines.splitlines()) <= set((out if code == 0 else err).splitlines())
+        stream = out if code == 0 else err
+        # a list is every line of the stream; a string, lines the stream holds
+        if isinstance(lines, list):
+            assert stream.splitlines() == lines
+        else:
+            assert set(lines.splitlines()) <= set(stream.splitlines())
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the Linux VmHWM peak")

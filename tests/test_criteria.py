@@ -31,6 +31,7 @@ class TestCounterexampleReport:
         for fam, lo in (("K", 1), ("J", 2)):
             for n in range(lo, 20):
                 r = counterexample_report(FamilyId(fam, n))
+                assert (r.family, r.n) == (fam, n) and r.slice_recognized is True
                 assert r.pinch_number == 2 * n
                 assert r.band_count == 2 * n - 1
                 assert r.jvc_negative_count == 2 * n

@@ -30,9 +30,9 @@ FIELDS = {
     ReducedFraction: ("num", "den"),
     EvenCF: ("coeffs",),
     FamilyId: ("family", "n"),
-    CounterexampleReport: ("knot", "pinch_number", "band_count", "slice_fraction",
-                           "slice_cf", "jvc_negative_count",
-                           "jvc_equals_pinch_minus_one"),
+    CounterexampleReport: ("family", "n", "knot", "pinch_number", "band_count",
+                           "slice_fraction", "slice_cf", "slice_recognized",
+                           "jvc_negative_count", "jvc_equals_pinch_minus_one"),
     MatSL2: ("a", "b", "c", "d"),
     TwoBridgeKnot: ("t1", "t2", "normalized"),
 }
