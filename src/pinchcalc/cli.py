@@ -22,16 +22,13 @@ from operator import index
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .criteria import (
-    TheoremViolationError, counterexample_report, jvc_criterion, surgery_result_knot,
+    TheoremViolationError, _certificate, counterexample_report, jvc_criterion,
+    surgery_result_knot,
 )
-from .families import (
-    FamilyId,
-    closed_form_step,
-    family_knot,
-    verify_j_to_k,
-    verify_k_independence,
+from .families import FamilyId, _j_to_k_holds, _k_collisions, closed_form_step, family_knot
+from .pinch import (
+    PinchSequence, TorusKnotParams, pinch_move, pinch_number, pinch_runs, pinch_sequence,
 )
-from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_number, pinch_runs
 from .tangles import MatSL2, is_slice_family, mat_apply
 
 SCHEMA_VERSION = "1"
@@ -276,7 +273,7 @@ def run_report(family, n):
 
 
 # ---------------------------------------------------------------------------
-# verification harness: each section checks the range on its own
+# verification harness: every section but tables reads one table of members
 
 # Frozen expected pinch sequences for the small family members.  Kept as
 # literal rows on purpose: the verify machinery diffs the sequence of each
@@ -299,16 +296,22 @@ REFERENCE_ROWS_J = {
         (6, 25), (4, 17), (2, 9), (0, 1)],
 }
 
-# the largest --max-n verified; `verify all` reads each member's runs, one
-# run of 2n moves, so it costs about linearly in N (about 0.2 s at 3000)
+# the largest --max-n verified; `verify all` builds each member's runs once,
+# one run of 2n moves, so it costs about linearly in N (0.13 s in process at 3000)
 VERIFY_MAX_N = 3000
 
 
-def _members(max_n: int):
-    """K_1..K_max_n, then J_2..J_max_n: every knotted member up to max_n."""
-    for family, first in (("K", 1), ("J", 2)):
+def _member_table(max_n: int) -> tuple[list, list]:
+    """(K_1..K_max_n, J_2..J_max_n), each member as (fid, seq): seq is the
+    pinch chain of its knot from family_knot, whose start is that knot,
+    built once for every section that reads it.  So K_m is [0][m - 1] and
+    J_n is [1][n - 2]."""
+    table = ([], [])
+    for entries, family, first in zip(table, "KJ", (1, 2)):
         for n in range(first, max_n + 1):
-            yield FamilyId(family, n)
+            fid = FamilyId(family, n)
+            entries.append((fid, pinch_sequence(family_knot(fid))))
+    return table
 
 
 def check_reference_tables() -> dict:
@@ -332,7 +335,7 @@ def check_reference_tables() -> dict:
     return out
 
 
-def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
+def check_pinch_numbers_and_closed_form(members) -> dict:
     """Pinch number 2n and closed form agreement at every step, for every member.
 
     The pinch number is the sum of the run counts.  The closed form is
@@ -345,9 +348,8 @@ def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
     """
     checked = 0
     violations = []
-    for fid in _members(max_n):
-        knot = family_knot(fid)
-        runs = pinch_runs(knot)
+    for fid, seq in chain(*members):
+        runs = seq.runs
         strides = [run.stride for run in runs]
         pinch = sum(run.count for run in runs)
         if pinch != 2 * fid.n:
@@ -359,7 +361,7 @@ def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
         # one run, from the k = 0 pair, with the stride from there to k = 1
         if len(runs) != 1 or (runs[0].p, runs[0].q, *strides[0]) != (
                 p, q, p - p1, q - q1):
-            knots = PinchSequence(knot, runs).knots()
+            knots = seq.knots()
             for k, pair in enumerate(knots):
                 formula = closed_form_step(fid, k)
                 if formula != pair:
@@ -369,44 +371,51 @@ def check_pinch_numbers_and_closed_form(max_n: int) -> dict:
     return {"checked": checked, "violations": violations}
 
 
-def check_j_to_k(max_n: int) -> dict:
-    ns = range(2, max_n + 1)
-    return {"checked": len(ns), "violations": [n for n in ns if not verify_j_to_k(n)]}
+def check_j_to_k(members) -> dict:
+    """Four pinches send J_n to K_(n-2): J_2 to T(0, 1), J_n to the K table's
+    (n-2)-th knot for n >= 3."""
+    ks, js = members
+    targets = chain([(0, 1)], ((seq.start.p, seq.start.q) for _, seq in ks))
+    return {"checked": len(js),
+            "violations": [fid.n for (fid, seq), target in zip(js, targets)
+                           if not _j_to_k_holds(seq.runs, target)]}
 
 
-def check_k_independence(max_n: int) -> dict:
-    return {"checked": max_n, "violations": verify_k_independence(max_n)}
+def check_k_independence(members) -> dict:
+    ks, _ = members
+    return {"checked": len(ks),
+            "violations": _k_collisions((seq.runs for _, seq in ks), len(ks))}
 
 
-def check_reports(max_n: int) -> dict:
+def check_reports(members) -> dict:
     """Certify every member; a failed certificate is a violation."""
     checked = 0
     violations = []
-    for fid in _members(max_n):
+    for fid, seq in chain(*members):
         try:
-            counterexample_report(fid)
+            _certificate(fid, seq)
             checked += 1
         except TheoremViolationError as exc:
             violations.append({"member": str(fid), "error": str(exc)})
     return {"checked": checked, "violations": violations}
 
 
-# each section in document order: (check of max_n, summary line).  The
-# checks are looked up by name at call time, so wrapping or patching a
+# each section in document order: (check of the member table, summary line).
+# The checks are looked up by name at call time, so wrapping or patching a
 # module attribute reaches them
 SECTIONS = {
-    "tables": (lambda max_n: check_reference_tables(),
+    "tables": (lambda members: check_reference_tables(),
                "K: {K[matched]}/{K[total]} rows match, "
                "J: {J[matched]}/{J[total]} rows match"),
-    "closed_form": (lambda max_n: check_pinch_numbers_and_closed_form(max_n),
+    "closed_form": (lambda members: check_pinch_numbers_and_closed_form(members),
                     "pinch numbers and closed form: {checked} sequences checked, "
                     "{count} violations (n <= {max_n})"),
-    "j_to_k": (lambda max_n: check_j_to_k(max_n),
+    "j_to_k": (lambda members: check_j_to_k(members),
                "four pinches J_n -> K_(n-2): {checked} checked, {count} violations"),
-    "k_independence": (lambda max_n: check_k_independence(max_n),
+    "k_independence": (lambda members: check_k_independence(members),
                        "K sequences avoid other K members: m, n <= {checked}, "
                        "{count} collisions"),
-    "reports": (lambda max_n: check_reports(max_n),
+    "reports": (lambda members: check_reports(members),
                 "counterexample reports: {checked} certified, {count} violations"),
 }
 # the sections each verify mode runs
@@ -438,7 +447,9 @@ def verify_all(max_n: int, mode: str) -> tuple[dict, str]:
         raise ValueError(f"needs max_n >= 2, got {max_n}")
     if max_n > VERIFY_MAX_N:
         raise ValueError(f"max_n {max_n} is over the verify bound {VERIFY_MAX_N}")
-    results = {key: SECTIONS[key][0](max_n) for key in MODES[mode]}
+    # tables reads its own nine chains; every other section reads the table
+    members = None if mode == "tables" else _member_table(max_n)
+    results = {key: SECTIONS[key][0](members) for key in MODES[mode]}
     status = "violation" if any(map(_violations, results.values())) else "ok"
     return results, status
 

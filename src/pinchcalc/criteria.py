@@ -31,11 +31,16 @@ def jvc_criterion(k: TorusKnotParams) -> PinchSequence:
     when one single move in the pinch sequence has negative sign.  Only that
     combinatorial verdict is computed; no invariant values are produced.
     """
+    _check_applicable(k)
+    return sign_sequence(k)
+
+
+def _check_applicable(k: TorusKnotParams) -> None:
+    """Raise CriterionNotApplicableError unless p is even and q odd, both > 1."""
     if k.is_unknot() or k.p % 2 != 0 or k.q % 2 != 1:
         raise CriterionNotApplicableError(
             f"needs p even and q odd with p, q > 1, got ({k.p}, {k.q})"
         )
-    return sign_sequence(k)
 
 
 class CounterexampleReport(namedtuple("CounterexampleReport", (
@@ -75,10 +80,14 @@ def counterexample_report(fid: FamilyId) -> CounterexampleReport:
     """
     if fid.is_trivial:
         raise ValueError("J_1 is unknotted; no counterexample report")
+    return _certificate(fid, pinch_sequence(family_knot(fid)))
+
+
+def _certificate(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
+    """counterexample_report(fid), given the pinch chain of fid's knot."""
     n = fid.n
-    knot = family_knot(fid)
-    chain = jvc_criterion(knot)
-    pinch = chain.pinch_number
+    _check_applicable(seq.start)
+    pinch = seq.pinch_number
     bridge = surgery_result_knot(fid)
     cf = cf_even_expand(bridge.normalized)
     if pinch != 2 * n:
@@ -88,6 +97,6 @@ def counterexample_report(fid: FamilyId) -> CounterexampleReport:
             f"{fid}: surgery fraction {bridge.normalized} expands to {cf}, "
             "not in the slice family"
         )
-    return CounterexampleReport(fid.family, n, knot, pinch, 2 * n - 1,
-                                bridge.normalized, cf, True, chain.negative_count,
-                                chain.equals_pinch_minus_one)
+    return CounterexampleReport(fid.family, n, seq.start, pinch, 2 * n - 1,
+                                bridge.normalized, cf, True, seq.negative_count,
+                                seq.equals_pinch_minus_one)

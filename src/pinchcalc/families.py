@@ -4,6 +4,9 @@ Both families have pinch number 2n (J_1 = T(4, 1) is already unknotted),
 their pinch sequences follow one closed form, whose steps closed_form_step
 gives as plain (p, q) pairs, and four pinch moves send J_n to K_{n-2}.
 Every check reads a member's chain from pinch_runs, one inverse a chain.
+verify_j_to_k and verify_k_independence build the chains they read and
+pass them to _j_to_k_holds and _k_collisions, which `verify` calls with the
+one chain it builds for each member.
 """
 
 from itertools import islice
@@ -63,17 +66,23 @@ def closed_form_step(fid: FamilyId, k: int) -> tuple[int, int]:
     return 4 * n - 2 * k, odd * odd - 2 * k * (n + eps)
 
 
+def _j_to_k_holds(runs: tuple[PinchRun, ...], target: tuple[int, int]) -> bool:
+    """Whether the chain of runs has a fourth move, and it lands on target,
+    a (p, q) pair.  The fourth target is read from the rows of the runs; a
+    chain of fewer than four moves fails."""
+    fourth = next(islice((row for run in runs for row in run.rows()), 3, None), None)
+    return fourth is not None and fourth[4:] == target
+
+
 def verify_j_to_k(n: int) -> bool:
     """Check that four pinch moves send J_n to K_{n-2}, with K_0 = T(0, 1),
-    comparing (p, q) pairs in family_knot order, not up to swapping.  The
-    fourth target is read from the rows of J_n's runs, one inverse in all;
-    a chain of fewer than four moves fails."""
+    comparing (p, q) pairs in family_knot order, not up to swapping, from
+    the runs of J_n's chain, one inverse in all."""
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
     runs = pinch_runs(family_knot(FamilyId("J", n)))
-    fourth = next(islice((row for run in runs for row in run.rows()), 3, None), None)
     k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
-    return fourth is not None and fourth[4:] == (k.p, k.q)
+    return _j_to_k_holds(runs, (k.p, k.q))
 
 
 def _k_members_on(runs: tuple[PinchRun, ...], max_n: int) -> list[int]:
@@ -115,6 +124,13 @@ def _k_members_on(runs: tuple[PinchRun, ...], max_n: int) -> list[int]:
     return hits
 
 
+def _k_collisions(k_chains, max_n: int) -> list[tuple[int, int]]:
+    """The (m, n) pairs, m != n <= max_n, whose K_m chain visits K_n, in
+    order; k_chains are the runs of K_1, K_2, ... in turn."""
+    return [(m, n) for m, runs in enumerate(k_chains, 1)
+            for n in _k_members_on(runs, max_n) if n != m]
+
+
 def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
     """Scan the pinch sequences of K_1..K_max_n for visits to other members.
 
@@ -125,8 +141,5 @@ def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
     """
     if max_n < 1:
         raise ValueError(f"needs max_n >= 1, got {max_n}")
-    violations = []
-    for m in range(1, max_n + 1):
-        knot = family_knot(FamilyId("K", m))
-        violations += [(m, n) for n in _k_members_on(pinch_runs(knot), max_n) if n != m]
-    return violations
+    chains = (pinch_runs(family_knot(FamilyId("K", m))) for m in range(1, max_n + 1))
+    return _k_collisions(chains, max_n)

@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchcalc
-from pinchcalc import cli, criteria, families, pinch
+from pinchcalc import cli, criteria, pinch
 from pinchcalc.cli import cli_main, fmt_fraction, verify_all
 from pinchcalc.arith import EvenCF, ReducedFraction
-from pinchcalc.pinch import PinchRun, TorusKnotParams
+from pinchcalc.criteria import counterexample_report
+from pinchcalc.families import (
+    FamilyId, closed_form_step, family_knot, verify_j_to_k, verify_k_independence,
+)
+from pinchcalc.pinch import PinchRun, TorusKnotParams, pinch_sequence
 
-from oracles import CHILD_ENV, count_knot_builds
+from oracles import CHILD_ENV, count_knot_builds, count_witness_calls
 
 
 def doc(command, inputs, results, status="ok"):
@@ -85,7 +89,8 @@ COROLLARIES = (
     '"k_independence":{"checked":5,"violations":[]}'
 )
 REPORTS_OK = '"reports":{"checked":9,"violations":[]}'
-# the tables when K_2 is T(8, 27): its chain is diffed against K_2's row
+# the tables when K_2 is T(8, 27): its chain is diffed against K_2's row.
+# The member table holds the same knot, so reports certifies it too
 TABLES_K_2_PINCHES_TWICE = (
     '"tables":{"K":{"matched":4,"total":5,"mismatches":['
     '{"n":2,"expected":[[8,25],[6,19],[4,13],[2,7],[0,1]],'
@@ -119,14 +124,15 @@ def reject_slice(monkeypatch):
 
 
 def fail_j_to_k_at_3(monkeypatch):
-    """Four pinches from J_3 miss K_1."""
-    real = cli.verify_j_to_k
-    monkeypatch.setattr(cli, "verify_j_to_k", lambda n: n != 3 and real(n))
+    """Four pinches from J_3 miss K_1 = T(4, 9), the target of J_3 alone."""
+    real = cli._j_to_k_holds
+    monkeypatch.setattr(cli, "_j_to_k_holds",
+                        lambda runs, target: target != (4, 9) and real(runs, target))
 
 
 def collide_k_3_with_k_1(monkeypatch):
     """The chain of K_3 passes through K_1."""
-    monkeypatch.setattr(cli, "verify_k_independence", lambda max_n: [(3, 1)])
+    monkeypatch.setattr(cli, "_k_collisions", lambda k_chains, max_n: [(3, 1)])
 
 
 def mismatch_k_1_row(monkeypatch):
@@ -375,7 +381,8 @@ GOLDEN = [
             '{"member":"K_2","pinch_number":2,"expected":4}]},'
             '"j_to_k":{"checked":1,"violations":[]},'
             '"k_independence":{"checked":2,"violations":[]},'
-            '"reports":{"checked":3,"violations":[]}', "violation"),
+            '"reports":{"checked":2,"violations":['
+            '{"member":"K_2","error":"K_2: pinch number 2, expected 4"}]}', "violation"),
         "", id="pinch-number-violation",
     ),
     pytest.param(
@@ -384,7 +391,7 @@ GOLDEN = [
         "pinch numbers and closed form: 2 sequences checked, 1 violations (n <= 2)\n"
         "four pinches J_n -> K_(n-2): 1 checked, 0 violations\n"
         "K sequences avoid other K members: m, n <= 2, 0 collisions\n"
-        "counterexample reports: 3 certified, 0 violations\n"
+        "counterexample reports: 2 certified, 1 violations\n"
         "status: violation\n",
         "", id="pinch-number-violation-text",
     ),
@@ -936,13 +943,15 @@ class TestPackage:
         # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
         ((), lambda: list(PinchRun(4, 9, 1, 1, 1, 1).rows())),
         # closed_form and k_independence read that run's stride; j_to_k
-        # reads its rows, which read the stride first
-        ((cli, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
-         lambda: cli.check_pinch_numbers_and_closed_form(3)),
-        ((families, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
-         lambda: cli.check_k_independence(3)),
-        ((families, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
-         lambda: cli.check_j_to_k(3)),
+        # reads its rows, which read the stride first.  The member table
+        # builds every member's chain with pinch_sequence, which reads
+        # pinch.pinch_runs
+        ((pinch, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+         lambda: cli.check_pinch_numbers_and_closed_form(cli._member_table(3))),
+        ((pinch, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+         lambda: cli.check_k_independence(cli._member_table(3))),
+        ((pinch, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+         lambda: cli.check_j_to_k(cli._member_table(3))),
     ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "sweep-pinch-number",
             "pinch-move-sign", "pinch-runs-witnesses", "run-rows-coprime",
             "run-rows-witnesses", "closed-form-bad-run", "k-independence-bad-run",
@@ -976,10 +985,10 @@ class TestVerifyAll:
         ]
         # a section counts the members it checks, none below n = 2
         for section in cli.check_j_to_k, cli.check_pinch_numbers_and_closed_form:
-            assert section(0) == {"checked": 0, "violations": []}
+            assert section(cli._member_table(0)) == {"checked": 0, "violations": []}
 
     def test_refuses_range_over_bound(self, monkeypatch):
-        # `verify all` reads runs, not moves: about 0.2 s at N = 3000
+        # `verify all` builds each member's runs once: 0.13 s in process at N = 3000
         assert cli.VERIFY_MAX_N == 3000
         monkeypatch.setattr(cli, "VERIFY_MAX_N", 10)
         assert verify_all(10, "all")[1] == "ok"
@@ -988,22 +997,77 @@ class TestVerifyAll:
             with pytest.raises(ValueError, match="max_n 11 is over the verify bound 10"):
                 verify_all(11, mode)
 
-    def test_closed_form_builds_one_knot_per_member(self, monkeypatch):
+    def test_builds_one_knot_and_one_chain_per_member(self, monkeypatch):
+        # K_1..K_30 then J_2..J_30, as (p, q), and the nine frozen rows' starts
+        members = [closed_form_step(FamilyId(family, n), 0)
+                   for family, first in (("K", 1), ("J", 2)) for n in range(first, 31)]
+        rows = [table[n][0] for table in (cli.REFERENCE_ROWS_K, cli.REFERENCE_ROWS_J)
+                for n in sorted(table)]
         built = count_knot_builds(monkeypatch)
-        section = cli.check_pinch_numbers_and_closed_form(30)
-        assert section == {"checked": 59, "violations": []}
-        # each member's start, K_1..K_30 then J_2..J_30, and no knot per step
-        assert len(built) == 59
-        assert built[0] == (4, 9) and built[-1] == (120, 59 * 59)
+        # one inverse a chain, so each chain built anywhere is counted
+        inverses = count_witness_calls(monkeypatch)
+        # the member table's pinch_sequence reads pinch.pinch_runs, and the
+        # tables section cli.pinch_runs
+        chains = []
+        real = pinch.pinch_runs
+        for module in pinch, cli:
+            monkeypatch.setattr(module, "pinch_runs",
+                                lambda k: chains.append((k.p, k.q)) or real(k))
+        assert verify_all(30, "all")[1] == "ok"
+        # the member table first, then the chains the tables section diffs;
+        # no section builds a knot or a chain of its own
+        assert built == chains == inverses == members + rows
+        # a mode of the tables alone builds no member table
+        built.clear(), chains.clear(), inverses.clear()
+        assert verify_all(30, "tables")[1] == "ok"
+        assert built == chains == inverses == rows
+
+    def test_sections_match_the_per_member_functions(self, monkeypatch):
+        # each section against the public functions, which build their own
+        # knots and chains: an entry handed to the wrong member differs
+        certified = []
+        real = cli._certificate
+        monkeypatch.setattr(cli, "_certificate",
+                            lambda *entry: certified.append(real(*entry)) or certified[-1])
+        for max_n in [*range(2, 41), 300]:
+            certified.clear()
+            results, status = verify_all(max_n, "all")
+            assert status == "ok"
+            fids = [FamilyId(family, n) for family, first in (("K", 1), ("J", 2))
+                    for n in range(first, max_n + 1)]
+            for fid in fids:
+                knots = pinch_sequence(family_knot(fid)).knots()
+                assert knots == [closed_form_step(fid, k) for k in range(2 * fid.n + 1)]
+            assert results["closed_form"] == {"checked": len(fids), "violations": []}
+            assert results["j_to_k"] == {
+                "checked": max_n - 1,
+                "violations": [n for n in range(2, max_n + 1) if not verify_j_to_k(n)]}
+            assert results["k_independence"] == {
+                "checked": max_n, "violations": verify_k_independence(max_n)}
+            assert certified == [counterexample_report(fid) for fid in fids]
+            assert results["reports"] == {"checked": len(fids), "violations": []}
+
+    def test_reports_apply_the_criterion_test(self, monkeypatch):
+        # K_2 as T(25, 8): p odd, so the sign criterion does not apply, in
+        # the section and in counterexample_report alike
+        for module, call in ((cli, lambda: cli.check_reports(cli._member_table(2))),
+                             (criteria, lambda: criteria.counterexample_report(
+                                 FamilyId("K", 2)))):
+            real = module.family_knot
+            monkeypatch.setattr(module, "family_knot", lambda fid, real=real: (
+                real(fid).swap() if str(fid) == "K_2" else real(fid)))
+            with pytest.raises(criteria.CriterionNotApplicableError,
+                               match=r"got \(25, 8\)"):
+                call()
 
     def test_closed_form_reads_every_run(self, monkeypatch):
         # K_2's chain as two runs: the first has the closed form's start and
         # stride, and the second, which passes its own check, climbs
         split = (PinchRun(8, 25, 7, 22, 1, -1), PinchRun(6, 19, -1, -3, 3, 1))
         real = pinch.pinch_runs
-        monkeypatch.setattr(cli, "pinch_runs",
+        monkeypatch.setattr(pinch, "pinch_runs",
                             lambda k: split if (k.p, k.q) == (8, 25) else real(k))
-        section = cli.check_pinch_numbers_and_closed_form(2)
+        section = cli.check_pinch_numbers_and_closed_form(cli._member_table(2))
         assert [(v["member"], v["k"]) for v in section["violations"]] == [
             ("K_2", 2), ("K_2", 3), ("K_2", 4)]
 
@@ -1016,7 +1080,7 @@ class TestVerifyAll:
             return p + 2, q
 
         monkeypatch.setattr(cli, "closed_form_step", shifted)
-        section = cli.check_pinch_numbers_and_closed_form(2)
+        section = cli.check_pinch_numbers_and_closed_form(cli._member_table(2))
         assert section["checked"] == 3
         assert [(v["member"], v["k"]) for v in section["violations"]] == [
             (member, k) for member, n in (("K_1", 1), ("K_2", 2), ("J_2", 2))

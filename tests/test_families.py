@@ -99,6 +99,15 @@ class TestJToK:
         assert verify_j_to_k(3) is False
 
 
+    def test_a_missed_target_fails(self, monkeypatch):
+        # J_3's fourth move lands on T(4, 9), not on a K_1 moved to T(4, 11)
+        real = families.family_knot
+        monkeypatch.setattr(families, "family_knot", lambda fid: (
+            TorusKnotParams(4, 11) if fid == FamilyId("K", 1) else real(fid)))
+        assert verify_j_to_k(3) is False
+        assert verify_j_to_k(4) is True
+
+
 class TestKIndependence:
     def test_finds_a_collision(self, monkeypatch):
         # K_3 moved to J_3 = T(12, 25), whose chain passes through K_1 = T(4, 9)
