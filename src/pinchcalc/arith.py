@@ -53,9 +53,11 @@ def mod_inverse_smallest(a: int, m: int) -> int:
 
 
 class Value:
-    """Base of the frozen value classes, whose fields are their __slots__:
-    equal only within one class, hashed by field, shown as Name(f=v, ...).
-    Hand-written: importing dataclasses costs a command more than its work.
+    """Base of the frozen records that validate their fields in __init__,
+    whose fields are their __slots__: equal only within one class, hashed
+    by field, shown as Name(f=v, ...).  A record that validates nothing is
+    a named tuple instead.  Hand-written: importing dataclasses costs a
+    command more than its work.
     """
 
     __slots__ = ()

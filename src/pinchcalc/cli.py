@@ -26,9 +26,7 @@ from .criteria import (
     surgery_result_knot,
 )
 from .families import FamilyId, _j_to_k_holds, _k_collisions, closed_form_step, family_knot
-from .pinch import (
-    PinchSequence, TorusKnotParams, pinch_move, pinch_number, pinch_runs, pinch_sequence,
-)
+from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_number, pinch_sequence
 from .tangles import MatSL2, is_slice_family, mat_apply
 
 SCHEMA_VERSION = "1"
@@ -152,16 +150,15 @@ def _pinch_lines(seq: PinchSequence, as_json: bool):
 
 
 def run_pinch_seq(p, q):
-    start = TorusKnotParams(p, q)
-    seq = PinchSequence(start, pinch_runs(start))
+    seq = pinch_sequence(TorusKnotParams(p, q))
+    pinch = seq.pinch_number
 
     # each form expands the runs only when it prints.  Each JSON object
     # follows a comma, and the first object's is dropped
     objects = _pinch_lines(seq, True)
     steps = chain("[", (first[1:] for first in islice(objects, 1)), objects, "]")
-    text = chain(_pinch_lines(seq, False), [f"pinch number: {seq.pinch_number}"])
-    results = {"start": start, "steps": JSONText(steps),
-               "pinch_number": seq.pinch_number}
+    text = chain(_pinch_lines(seq, False), [f"pinch number: {pinch}"])
+    results = {"start": seq.start, "steps": JSONText(steps), "pinch_number": pinch}
     return results, text, "ok"
 
 
@@ -321,8 +318,7 @@ def check_reference_tables() -> dict:
         matched = 0
         mismatches = []
         for n, expected in sorted(rows.items()):
-            start = family_knot(FamilyId(family, n))
-            chain = PinchSequence(start, pinch_runs(start)).knots()
+            chain = pinch_sequence(family_knot(FamilyId(family, n))).knots()
             if chain == expected:
                 matched += 1
             else:
@@ -338,20 +334,20 @@ def check_reference_tables() -> dict:
 def check_pinch_numbers_and_closed_form(members) -> dict:
     """Pinch number 2n and closed form agreement at every step, for every member.
 
-    The pinch number is the sum of the run counts.  The closed form is
-    affine in k, and a run subtracts one stride per move, so a chain that is
-    one run starting at the closed form's k = 0 pair, with the stride from
-    there to its k = 1 pair, agrees with it at every k in [0, 2n]: equal
-    first term, difference and length.  Only a member that fails this is
-    compared step by step, to list each step that differs.  Reading each
-    stride checks its run.
+    The closed form is affine in k, and a run subtracts one stride per
+    move, so a chain that is one run starting at the closed form's k = 0
+    pair, with the stride from there to its k = 1 pair, agrees with it at
+    every k in [0, 2n]: equal first term, difference and length.  Only a
+    member that fails this is compared step by step, to list each step that
+    differs.  Each stride is read, and so its run checked, before the pinch
+    number.
     """
     checked = 0
     violations = []
     for fid, seq in chain(*members):
         runs = seq.runs
         strides = [run.stride for run in runs]
-        pinch = sum(run.count for run in runs)
+        pinch = seq.pinch_number
         if pinch != 2 * fid.n:
             violations.append({"member": str(fid), "pinch_number": pinch,
                                "expected": 2 * fid.n})

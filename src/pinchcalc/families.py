@@ -3,7 +3,7 @@
 Both families have pinch number 2n (J_1 = T(4, 1) is already unknotted),
 their pinch sequences follow one closed form, whose steps closed_form_step
 gives as plain (p, q) pairs, and four pinch moves send J_n to K_{n-2}.
-Every check reads a member's chain from pinch_runs, one inverse a chain.
+Every check reads a member's chain from pinch_sequence, one inverse a chain.
 verify_j_to_k and verify_k_independence build the chains they read and
 pass them to _j_to_k_holds and _k_collisions, which `verify` calls with the
 one chain it builds for each member.
@@ -14,7 +14,7 @@ from math import isqrt
 from operator import index
 
 from .arith import Value
-from .pinch import PinchRun, TorusKnotParams, pinch_runs
+from .pinch import PinchRun, TorusKnotParams, pinch_sequence
 
 
 class FamilyId(Value):
@@ -80,7 +80,7 @@ def verify_j_to_k(n: int) -> bool:
     the runs of J_n's chain, one inverse in all."""
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
-    runs = pinch_runs(family_knot(FamilyId("J", n)))
+    runs = pinch_sequence(family_knot(FamilyId("J", n))).runs
     k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
     return _j_to_k_holds(runs, (k.p, k.q))
 
@@ -141,5 +141,6 @@ def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
     """
     if max_n < 1:
         raise ValueError(f"needs max_n >= 1, got {max_n}")
-    chains = (pinch_runs(family_knot(FamilyId("K", m))) for m in range(1, max_n + 1))
+    chains = (pinch_sequence(family_knot(FamilyId("K", m))).runs
+              for m in range(1, max_n + 1))
     return _k_collisions(chains, max_n)

@@ -146,18 +146,16 @@ class PinchRun(namedtuple("PinchRun", "p q t h count sign")):
             p, q, t, h = p2, q2, t - dt, h - dh
 
 
-class PinchSequence(Value):
+class PinchSequence(namedtuple("PinchSequence", "start runs")):
     """The chain of pinch moves from start down to an unknot, held as its runs.
 
     Counts are sums over the runs and cost O(runs); knots() and steps
-    expand each move from the rows of the runs.
+    expand each move from the rows of the runs.  Built only by
+    pinch_sequence; a named tuple, as no caller compares it with a plain
+    tuple.
     """
 
-    __slots__ = ("start", "runs")
-
-    def __init__(self, start: TorusKnotParams, runs: tuple[PinchRun, ...]):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "runs", runs)
+    __slots__ = ()
 
     @property
     def pinch_number(self) -> int:

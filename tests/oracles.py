@@ -21,8 +21,10 @@ TestEvenCF::test_matches_the_step_oracle.
 
 The probes wrap an engine function and record its calls:
 count_witness_calls counts inverses and count_knot_builds the
-TorusKnotParams built.  CHILD_ENV is the environment of every child
-interpreter the suite starts.
+TorusKnotParams built.  bad_runs stands in for pinch.pinch_runs, the one
+binding that every chain is read from, with a run that its readers must
+refuse.  CHILD_ENV is the environment of every child interpreter the suite
+starts.
 """
 
 import os
@@ -117,3 +119,10 @@ def count_knot_builds(monkeypatch):
 
     monkeypatch.setattr(TorusKnotParams, "__init__", counted)
     return built
+
+
+def bad_runs(k):
+    """A fake pinch.pinch_runs: for any k, the chain of one run from T(4, 9)
+    whose witnesses (1, 1) break ph - qt = 1, so reading its stride, or its
+    rows, raises RuntimeError."""
+    return (PinchRun(4, 9, 1, 1, 1, 1),)

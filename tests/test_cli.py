@@ -22,7 +22,7 @@ from pinchcalc.families import (
 )
 from pinchcalc.pinch import PinchRun, TorusKnotParams, pinch_sequence
 
-from oracles import CHILD_ENV, count_knot_builds, count_witness_calls
+from oracles import CHILD_ENV, bad_runs, count_knot_builds, count_witness_calls
 
 
 def doc(command, inputs, results, status="ok"):
@@ -667,6 +667,16 @@ class TestExitCodes:
             3, doc("pinch-number", "", f'"error":"{message}"', "error"), err)
         assert run_cli(capsys, "pinch-number", "4", "9") == (3, "", err)
 
+    def test_a_bad_run_exits_3(self, capsys, monkeypatch):
+        # pinch-seq reads its chain from pinch_sequence, so a run that
+        # pinch.pinch_runs should never give is refused as a bug
+        monkeypatch.setattr(pinch, "pinch_runs", bad_runs)
+        message = "T(4,9): (1, 1) do not start a run of 1 moves"
+        err = f"pinchcalc: {message}\n"
+        assert run_cli(capsys, "pinch-seq", "4", "9", "--json") == (
+            3, doc("pinch-seq", "", f'"error":"{message}"', "error"), err)
+        assert run_cli(capsys, "pinch-seq", "4", "9") == (3, "", err)
+
     @pytest.mark.parametrize("exc, message", [
         (ZeroDivisionError("division by zero"), "division by zero"),
         # str(LookupError()) is empty, so the message is the exception's type
@@ -807,9 +817,13 @@ class TestSubprocessHarness:
         (("pinch_number", lambda k: 1 // 0),
          ["termination_scan.py", "--limit", "10"], 3,
          "termination_scan.py: internal error: integer division or modulo by zero"),
+        # a pair past its cap is a violation (1), listed on stdout
+        (("sweep_termination", lambda limit: (3, [(4, 9, 5, 3)])),
+         ["termination_scan.py", "--limit", "10"], 1,
+         "cap violations: 1\n  (4,9): length 5 > cap 3"),
     ], ids=["termination-scan", "pinch-tables", "pinch-tables-family", "cli-digests",
             "termination-scan-refused", "termination-scan-internal-error",
-            "termination-scan-any-exception"])
+            "termination-scan-any-exception", "termination-scan-violation"])
     def test_script(self, capsys, monkeypatch, patch, script, code, lines):
         # in process, as __main__; cli_digests.py imports print_pinch_tables
         # from beside it, and sets COLUMNS, which monkeypatch then restores
@@ -827,7 +841,8 @@ class TestSubprocessHarness:
             exited = exc.code
         out, err = capsys.readouterr()
         assert exited == code
-        stream = out if code == 0 else err
+        # a violation (1) is a result, on stdout; an error (2 or 3) is on stderr
+        stream = out if code in (0, 1) else err
         # a list is every line of the stream; a string, lines the stream holds
         if isinstance(lines, list):
             assert stream.splitlines() == lines
@@ -942,20 +957,23 @@ class TestPackage:
         ((), lambda: list(PinchRun(4, 9, 2, 3, 1, 1).rows())),
         # its one move lands on T(2, 7), a coprime pair, but ph - qt = -5
         ((), lambda: list(PinchRun(4, 9, 1, 1, 1, 1).rows())),
-        # closed_form and k_independence read that run's stride; j_to_k
-        # reads its rows, which read the stride first.  The member table
-        # builds every member's chain with pinch_sequence, which reads
-        # pinch.pinch_runs
-        ((pinch, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+        # closed_form and k_independence read that run's stride; tables
+        # and j_to_k read its rows, which read the stride first.  Every
+        # chain comes from pinch_sequence, which reads pinch.pinch_runs
+        ((pinch, "pinch_runs", bad_runs),
          lambda: cli.check_pinch_numbers_and_closed_form(cli._member_table(3))),
-        ((pinch, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+        ((pinch, "pinch_runs", bad_runs),
          lambda: cli.check_k_independence(cli._member_table(3))),
-        ((pinch, "pinch_runs", lambda k: (PinchRun(4, 9, 1, 1, 1, 1),)),
+        ((pinch, "pinch_runs", bad_runs),
          lambda: cli.check_j_to_k(cli._member_table(3))),
+        ((pinch, "pinch_runs", bad_runs), cli.check_reference_tables),
+        ((pinch, "pinch_runs", bad_runs), lambda: verify_j_to_k(3)),
+        ((pinch, "pinch_runs", bad_runs), lambda: verify_k_independence(3)),
     ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "sweep-pinch-number",
             "pinch-move-sign", "pinch-runs-witnesses", "run-rows-coprime",
             "run-rows-witnesses", "closed-form-bad-run", "k-independence-bad-run",
-            "j-to-k-bad-run"])
+            "j-to-k-bad-run", "tables-bad-run", "verify-j-to-k-bad-run",
+            "verify-k-independence-bad-run"])
     def test_broken_invariant_raises(self, monkeypatch, patch, call):
         # under python -O too, as test_no_module_asserts finds no assert; a
         # RuntimeError itself, not a subclass such as IterationCapError
@@ -1006,13 +1024,11 @@ class TestVerifyAll:
         built = count_knot_builds(monkeypatch)
         # one inverse a chain, so each chain built anywhere is counted
         inverses = count_witness_calls(monkeypatch)
-        # the member table's pinch_sequence reads pinch.pinch_runs, and the
-        # tables section cli.pinch_runs
+        # every chain comes from pinch_sequence, which reads pinch.pinch_runs
         chains = []
         real = pinch.pinch_runs
-        for module in pinch, cli:
-            monkeypatch.setattr(module, "pinch_runs",
-                                lambda k: chains.append((k.p, k.q)) or real(k))
+        monkeypatch.setattr(pinch, "pinch_runs",
+                            lambda k: chains.append((k.p, k.q)) or real(k))
         assert verify_all(30, "all")[1] == "ok"
         # the member table first, then the chains the tables section diffs;
         # no section builds a knot or a chain of its own

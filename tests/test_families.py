@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pinchcalc import families
+from pinchcalc import families, pinch
 from pinchcalc.families import (
     FamilyId,
     closed_form_step,
@@ -14,14 +14,13 @@ from pinchcalc.families import (
     verify_k_independence,
 )
 from pinchcalc.pinch import (
-    PinchRun,
     TorusKnotParams,
     pinch_move,
     pinch_runs,
     pinch_sequence,
 )
 
-from oracles import count_witness_calls, move_chain
+from oracles import bad_runs, count_witness_calls, move_chain
 
 
 class TestFamilyId:
@@ -95,7 +94,7 @@ class TestJToK:
         # T(4, 9)'s real chain has two moves, not four
         runs = pinch_runs(TorusKnotParams(4, 9))
         assert sum(run.count for run in runs) == 2
-        monkeypatch.setattr(families, "pinch_runs", lambda k: runs)
+        monkeypatch.setattr(pinch, "pinch_runs", lambda k: runs)
         assert verify_j_to_k(3) is False
 
 
@@ -150,7 +149,6 @@ class TestKIndependence:
 
     def test_checks_each_run(self, monkeypatch):
         # (1, 1) are not witnesses of T(4, 9): ph - qt = -5, so its stride refuses
-        bad = (PinchRun(4, 9, 1, 1, 1, 1),)
-        monkeypatch.setattr(families, "pinch_runs", lambda k: bad)
+        monkeypatch.setattr(pinch, "pinch_runs", bad_runs)
         with pytest.raises(RuntimeError):
             verify_k_independence(3)

@@ -36,8 +36,9 @@ FIELDS = {
     MatSL2: ("a", "b", "c", "d"),
     TwoBridgeKnot: ("t1", "t2", "normalized"),
 }
-# the records that no caller compares with a plain tuple are named tuples
-NAMED_TUPLES = {PinchStep, CounterexampleReport, TwoBridgeKnot}
+# the records that validate nothing, and that no caller compares with a
+# plain tuple, are named tuples; the others validate their fields on Value
+NAMED_TUPLES = {PinchStep, PinchSequence, CounterexampleReport, TwoBridgeKnot}
 
 small = st.integers(-300, 300)
 knots = (st.tuples(st.integers(0, 300), st.integers(0, 300))
@@ -78,6 +79,7 @@ def fields(value):
 def test_the_nine_classes():
     assert set(FIELDS) == set(BUILD)
     assert {cls for cls in FIELDS if not issubclass(cls, Value)} == NAMED_TUPLES
+    assert set(Value.__subclasses__()) == set(FIELDS) - NAMED_TUPLES
     assert all(issubclass(cls, tuple) for cls in NAMED_TUPLES)
 
 
