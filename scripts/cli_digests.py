@@ -6,23 +6,24 @@ with --json; its argv, exit code, stdout and stderr all feed the digest of
 its command.  The set: the knot commands on coprime pairs of 8 to 256 bits
 (chains of at most MAX_MOVES moves) and on every pair in [-1, 11]^2, the
 member commands on K_n and J_n for n <= 29 and jvc on their knots (one run
-of 2n negative moves each), tangle cf on a few small fractions, on
-seeded fractions of 64 to 256 bits and on seeded fractions near +-1,
-whose expansions hold blocks of thousands of +-2 entries, tangle apply on
-a few fractions, and verify in every mode at --max-n 1, 2, 5, 40, 300 and
-3000, the verify bound.  The line "verify usage" digests verify with the mode "bogus" at
-those bounds, argparse's usage error.  The line "argv forms" digests
-valid argv in other forms than command first and flags last: a flag
-before the command or between tangle and its op, repeated flags, ints
-written +5, 007, 1_0 and -0, and verify with a flag first, --max-n
-before the mode, --max-n=3 and the abbreviation --max.  The line "usage"
-digests each command but verify with a bad int, one argument too few or
-too many, a bad family, the abbreviation --js, "--" and -h: argv that
-only argparse reads.  Two more lines digest the pinch tables that
-print_pinch_tables.py prints for K and J at --max-n 12 (each chain from
-PinchSequence.knots()), and repr(sweep_termination(3000)): the pairs the
-termination scan checks and its violations.  Two checkouts print
-the same lines exactly when their outputs are identical:
+of 2n negative moves each), tangle cf on a few small fractions, on seeded
+fractions of 64 to 256 bits and on seeded fractions near +-1, whose
+expansions hold blocks of thousands of +-2 entries, tangle apply on a few
+fractions, and verify in every mode at --max-n 1, 2, 5, 40, 300 and
+cli.VERIFY_MAX_N (3000), the verify bound.  The line "verify usage"
+digests verify with the mode "bogus" at those bounds, argparse's usage
+error.  The line "argv forms" digests valid argv in other forms than
+command first and flags last: a flag before the command or between tangle
+and its op, repeated flags, ints written +5, 007, 1_0 and -0, and verify
+with a flag first, --max-n before the mode, --max-n=3 and the abbreviation
+--max.  The line "usage" digests each command but verify with a bad int,
+one argument too few or too many, a bad family, the abbreviation --js,
+"--" and -h: argv that only argparse reads.  Two more lines digest the
+pinch tables that print_pinch_tables.py prints for K and J at --max-n 12
+(each chain from PinchSequence.knots()), and
+repr(sweep_termination(3000)): the pairs the termination scan checks and
+its violations.  Two checkouts print the same lines exactly when their
+outputs are identical:
 
     diff <(PYTHONPATH=old/src python3 scripts/cli_digests.py) \\
          <(PYTHONPATH=src python3 scripts/cli_digests.py)
@@ -42,7 +43,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
-from pinchcalc.cli import COMMANDS, MODES, cli_main
+from pinchcalc.cli import COMMANDS, KNOT, MEMBER, MODES, VERIFY_MAX_N, cli_main
 from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import TorusKnotParams, pinch_number, sweep_termination
 from print_pinch_tables import print_table
@@ -52,12 +53,13 @@ WIDTHS = (8, 16, 32, 64, 128, 256)
 PAIRS_PER_WIDTH = 20
 # pinch-seq prints every move; longer chains are skipped
 MAX_MOVES = 20_000
-KNOT_COMMANDS = ("pinch-move", "pinch-seq", "pinch-number", "jvc")
+# the commands that take a knot, and those that take a family member
+KNOT_COMMANDS = [name for name, entry in COMMANDS.items() if entry[2] is KNOT]
+MEMBER_COMMANDS = [name for name, entry in COMMANDS.items() if entry[2] is MEMBER]
 CF_WIDTHS = (64, 128, 256)
 FRACTIONS_PER_WIDTH = 8
 # a fraction near +-1 is (den - g)/den with den // g about this long a block
 BLOCK_LENGTHS = (1000, 5000)
-MEMBER_COMMANDS = ("family", "surgery-knot", "report")
 # each command but verify in its canonical form, with valid arguments
 CANONICAL = {
     "pinch-move": ["pinch-move", "4", "9"],
@@ -142,7 +144,7 @@ def invocations():
         for num, den in ((4, 3), (1, 7), (1, 0)):
             yield "tangle apply", ["tangle", "apply", *map(str, (*matrix, num, den))]
     for mode in (*MODES, "bogus"):
-        for max_n in (1, 2, 5, 40, 300, 3000):
+        for max_n in (1, 2, 5, 40, 300, VERIFY_MAX_N):
             line = "verify" if mode in MODES else "verify usage"
             yield line, ["verify", mode, "--max-n", str(max_n)]
     for argv in ARGV_FORMS:

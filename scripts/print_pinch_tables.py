@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Print the pinch sequence table for each family member up to a given n.
 
+A --max-n above VERIFY_MAX_N (3000), the verify bound, is refused with exit
+code 2: the tables grow quadratically in it, to some 2e10 knots at 100000.
+
 Example:
     python3 scripts/print_pinch_tables.py --max-n 8
     python3 scripts/print_pinch_tables.py --family J --max-n 12
@@ -8,6 +11,7 @@ Example:
 
 import argparse
 
+from pinchcalc.cli import VERIFY_MAX_N
 from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import pinch_sequence
 
@@ -26,6 +30,8 @@ def main() -> None:
     ap.add_argument("--family", choices=["K", "J", "both"], default="both")
     ap.add_argument("--max-n", type=int, default=5)
     args = ap.parse_args()
+    if args.max_n > VERIFY_MAX_N:
+        ap.error(f"max_n {args.max_n} is over the verify bound {VERIFY_MAX_N}")
     families = ["K", "J"] if args.family == "both" else [args.family]
     for fam in families:
         print_table(fam, args.max_n)

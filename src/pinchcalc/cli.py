@@ -5,13 +5,13 @@ violation, 2 on usage or domain errors, 3 on an internal error (a bug).
 --json swaps the human-readable text for a single machine-readable report
 document.
 
-Two readers turn an argv into (command, inputs, as_json, quiet).
-_plain_args reads the plain form of every command without an option (all
-but verify) straight from the COMMANDS table, or gives None, and then
-argparse reads the same argv.  argparse is the oracle the tests hold
-_plain_args to: it writes help and usage errors, reads abbreviated or
---flag=value flags and "--", and reads verify with its --max-n option.  It
-is imported only then, so a plain command starts without it.
+Two readers turn an argv into (command, inputs, flags), flags the set of
+FLAGS keys it holds.  _plain_args reads the plain form of every command
+without an option (all but verify) straight from COMMANDS and FLAGS, or
+gives None, and then argparse reads the same argv.  argparse is the oracle
+the tests hold _plain_args to: it writes help and usage errors, reads
+abbreviated or --flag=value flags and "--", and reads verify with its
+--max-n option.  It is imported only then, so a plain command starts without it.
 """
 
 import functools
@@ -461,6 +461,11 @@ def run_verify(mode, max_n):
 # parser and dispatch
 
 
+# the flags every command takes, each with its help, stored under its own name
+FLAGS = {
+    "--json": "emit a single machine-readable report document",
+    "--quiet": "suppress stdout; rely on the exit code",
+}
 # each command: (handler, help, arguments), each argument (name, choices)
 # with choices None for an int; an option, "--name", adds its default
 KNOT = [("p", None), ("q", None)]
@@ -488,14 +493,9 @@ def build_parser() -> "argparse.ArgumentParser":
     import argparse
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS,
-        help="emit a single machine-readable report document",
-    )
-    common.add_argument(
-        "--quiet", action="store_true", default=argparse.SUPPRESS,
-        help="suppress stdout; rely on the exit code",
-    )
+    for flag, help_text in FLAGS.items():
+        common.add_argument(flag, dest=flag, action="store_true",
+                            default=argparse.SUPPRESS, help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="pinchcalc",
@@ -526,14 +526,14 @@ def _parser() -> "argparse.ArgumentParser":
 
 
 def _parsed_args(argv):
-    """(command, inputs, as_json, quiet) from argparse, which raises
-    SystemExit for help and for a usage error."""
+    """(command, inputs, flags) from argparse, which raises SystemExit for
+    help and for a usage error."""
     args = vars(_parser().parse_args(argv))
     args.pop("tangle_op", None)
-    command, as_json, quiet = (args.pop("command"), args.pop("json", False),
-                               args.pop("quiet", False))
+    command = args.pop("command")
+    flags = {flag for flag in FLAGS if args.pop(flag, False)}
     # what is left are the command's arguments, in declaration order
-    return command, args, as_json, quiet
+    return command, args, flags
 
 
 def _plain_args(argv):
@@ -541,7 +541,7 @@ def _plain_args(argv):
 
     The plain form is the words of one COMMANDS entry ("tangle cf" is two),
     then exactly its arguments: each int as int() reads it, each choice one
-    of its choices.  --json and --quiet are exact tokens, anywhere and
+    of its choices.  The FLAGS keys are exact tokens, anywhere and
     repeated; any other token that starts with "-" must be "-" and ASCII
     digits, which argparse also reads as a negative number.  Anything else
     is None: -h, --, the abbreviation --js, --json=1, a bad int or choice,
@@ -550,13 +550,10 @@ def _plain_args(argv):
     error.  An int wider than the interpreter's digit limit fails int() and
     is left to argparse, which refuses it.
     """
-    words = []
-    as_json = quiet = False
+    words, flags = [], set()
     for token in argv:
-        if token == "--json":
-            as_json = True
-        elif token == "--quiet":
-            quiet = True
+        if token in FLAGS:
+            flags.add(token)
         elif token[:1] == "-" and not (token[1:].isdigit() and token.isascii()):
             return None
         else:
@@ -585,7 +582,7 @@ def _plain_args(argv):
             inputs[name] = word
         else:
             return None
-    return command, inputs, as_json, quiet
+    return command, inputs, flags
 
 
 def cli_main(argv=None) -> int:
@@ -596,7 +593,8 @@ def cli_main(argv=None) -> int:
             args = _parsed_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-    command, inputs, as_json, quiet = args
+    command, inputs, flags = args
+    as_json, quiet = "--json" in flags, "--quiet" in flags
     # an int argument wider than the interpreter's limit on int-to-str
     # digits (4300 by default) fails _plain_args and argparse refuses it,
     # which bounds the input; an output may still be wider, so the limit is

@@ -578,7 +578,7 @@ class TestHelpAndUsage:
 INT_WORDS = ["3", "-1", "-0", "007", "+5", "1_0", " 5", "x", "1" * 4301, "-1_0"]
 # tokens that only argparse reads
 ODD_TOKENS = ["-", "--", "--js", "--json=1", "-h"]
-FLAGS = ["--json", "--quiet"]
+FLAGS = list(cli.FLAGS)
 COMMAND_WORDS = sorted({word for command in cli.COMMANDS for word in command.split()})
 
 
@@ -808,6 +808,9 @@ class TestSubprocessHarness:
         # about 3e9 pairs, refused before the walk starts
         (None, ["termination_scan.py", "--limit", "100000"], 2,
          "termination_scan.py: error: limit 100000 is over the sweep bound 23169"),
+        # some 2e10 knots, refused before the first table
+        (None, ["print_pinch_tables.py", "--max-n", "100000"], 2,
+         "print_pinch_tables.py: error: max_n 100000 is over the verify bound 3000"),
         # a failed self-check of the walk is a bug (3), not a violation (1)
         (("pinch_witnesses", lambda p, q: (1, 1)),
          ["termination_scan.py", "--limit", "10"], 3,
@@ -822,7 +825,8 @@ class TestSubprocessHarness:
          ["termination_scan.py", "--limit", "10"], 1,
          "cap violations: 1\n  (4,9): length 5 > cap 3"),
     ], ids=["termination-scan", "pinch-tables", "pinch-tables-family", "cli-digests",
-            "termination-scan-refused", "termination-scan-internal-error",
+            "termination-scan-refused", "pinch-tables-refused",
+            "termination-scan-internal-error",
             "termination-scan-any-exception", "termination-scan-violation"])
     def test_script(self, capsys, monkeypatch, patch, script, code, lines):
         # in process, as __main__; cli_digests.py imports print_pinch_tables

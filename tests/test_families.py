@@ -20,7 +20,7 @@ from pinchcalc.pinch import (
     pinch_sequence,
 )
 
-from oracles import bad_runs, count_witness_calls, move_chain
+from oracles import count_witness_calls, move_chain
 
 
 class TestFamilyId:
@@ -146,9 +146,3 @@ class TestKIndependence:
         (run,) = pinch_runs(family_knot(FamilyId("J", 3)))
         assert families._k_members_on((run,), 60) == [1]
         assert families._k_members_on((run._replace(count=3),), 60) == []
-
-    def test_checks_each_run(self, monkeypatch):
-        # (1, 1) are not witnesses of T(4, 9): ph - qt = -5, so its stride refuses
-        monkeypatch.setattr(pinch, "pinch_runs", bad_runs)
-        with pytest.raises(RuntimeError):
-            verify_k_independence(3)

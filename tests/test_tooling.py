@@ -1,8 +1,9 @@
 """The files around the code agree with it and with each other.
 
 The two pins of the test tools, in pyproject.toml's test extra and on CI's
-pip install line, must name the same versions, and the digest script must
-cover every CLI command.
+pip install line, must name the same versions, CI's oldest Python must be
+pyproject.toml's floor, and the digest script must cover every CLI command
+and flag.
 """
 
 import re
@@ -30,9 +31,25 @@ def test_the_two_pins_of_the_test_tools_agree():
     assert all(len(versions) == 1 for versions in pins(extra).values())
 
 
+def test_ci_starts_at_the_python_floor():
+    # each matrix's lowest version is requires-python's floor, read with a
+    # regex as above
+    floor = re.search(r'^requires-python = ">=([\d.]+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    matrices = re.findall(r"^ *python-version: \[(.*)\]$",
+                          (ROOT / ".github/workflows/tier1.yml").read_text(), re.M)
+    assert matrices
+    for matrix in matrices:
+        versions = re.findall(r'"([\d.]+)"', matrix)
+        assert min(versions, key=lambda v: tuple(map(int, v.split(".")))) == floor
+
+
 def test_the_digest_script_runs_every_command(monkeypatch):
-    # its usage line reads CANONICAL; verify has lines of its own
+    # its usage line reads CANONICAL; verify has lines of its own.  Its
+    # invocations are listed, not run
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import cli_digests
 
     assert set(cli_digests.CANONICAL) == set(cli.COMMANDS) - {"verify"}
+    assert {line for line, _ in cli_digests.invocations()} >= set(cli.COMMANDS)
+    assert {token for argv in cli_digests.ARGV_FORMS for token in argv} >= set(cli.FLAGS)
