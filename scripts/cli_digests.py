@@ -6,21 +6,22 @@ with --json; its argv, exit code, stdout and stderr all feed the digest of
 its command.  The set: the knot commands on coprime pairs of 8 to 256 bits
 (chains of at most MAX_MOVES moves) and on every pair in [-1, 11]^2, the
 member commands on K_n and J_n for n <= 29 and jvc on their knots (one run
-of 2n negative moves each), tangle cf on a few small fractions, on seeded
-fractions of 64 to 256 bits and on seeded fractions near +-1, whose
-expansions hold blocks of thousands of +-2 entries, tangle apply on a few
-fractions, and verify in every mode at --max-n 1, 2, 5, 40, 300 and
-cli.VERIFY_MAX_N (3000), the verify bound.  The line "verify usage"
-digests verify with the mode "bogus" at those bounds, argparse's usage
-error.  The line "argv forms" digests valid argv in other forms than
-command first and flags last: a flag before the command or between tangle
-and its op, repeated flags, ints written +5, 007, 1_0 and -0, and verify
-with a flag first, --max-n before the mode, --max-n=3 and the abbreviation
---max.  The line "usage" digests each command but verify with a bad int,
-one argument too few or too many, a bad family, the abbreviation --js,
-"--" and -h: argv that only argparse reads.  Two more lines digest the
-pinch tables that print_pinch_tables.py prints for K and J at --max-n 12
-(each chain from PinchSequence.knots()), and
+of 2n negative moves each), the member commands also on seeded K_n and J_n
+of 64 to 256 bits (but not jvc, which would print 2n signs), tangle cf on a
+few small fractions, on seeded fractions of 64 to 256 bits and on seeded
+fractions near +-1, whose expansions hold blocks of thousands of +-2
+entries, tangle apply on a few fractions, and verify in every mode at
+--max-n 1, 2, 5, 40, 300 and cli.VERIFY_MAX_N (3000), the verify bound.
+The line "verify usage" digests verify with the mode "bogus" at those
+bounds, argparse's usage error.  The line "argv forms" digests valid argv
+in other forms than command first and flags last: a flag before the command
+or between tangle and its op, repeated flags, ints written +5, 007, 1_0 and
+-0, and verify with a flag first, --max-n before the mode, --max-n=3 and
+the abbreviation --max.  The line "usage" digests each command but verify
+with a bad int, one argument too few or too many, a bad family, the
+abbreviation --js, "--" and -h: argv that only argparse reads.  Two more
+lines digest the pinch tables that print_pinch_tables.py prints for K and J
+at --max-n 12 (each chain from PinchSequence.knots()), and
 repr(sweep_termination(3000)): the pairs the termination scan checks and
 its violations.  Two checkouts print the same lines exactly when their
 outputs are identical:
@@ -56,6 +57,8 @@ MAX_MOVES = 20_000
 # the commands that take a knot, and those that take a family member
 KNOT_COMMANDS = [name for name, entry in COMMANDS.items() if entry[2] is KNOT]
 MEMBER_COMMANDS = [name for name, entry in COMMANDS.items() if entry[2] is MEMBER]
+MEMBER_WIDTHS = (64, 128, 256)
+MEMBERS_PER_WIDTH = 3
 CF_WIDTHS = (64, 128, 256)
 FRACTIONS_PER_WIDTH = 8
 # a fraction near +-1 is (den - g)/den with den // g about this long a block
@@ -123,6 +126,12 @@ def random_fractions(rng):
     return fractions
 
 
+def wide_members(rng):
+    """MEMBERS_PER_WIDTH values of n per width in MEMBER_WIDTHS, each of that width."""
+    return [rng.getrandbits(bits) | 1 << (bits - 1)
+            for bits in MEMBER_WIDTHS for _ in range(MEMBERS_PER_WIDTH)]
+
+
 def invocations():
     """(digest line, argv) for every invocation, in a fixed order."""
     rng = random.Random(SEED)
@@ -137,6 +146,11 @@ def invocations():
             if n:
                 knot = family_knot(FamilyId(family, n))
                 yield "jvc", ["jvc", str(knot.p), str(knot.q)]
+    # a generator of their own, so the pairs and fractions stay as they were
+    for n in wide_members(random.Random(SEED)):
+        for family in "KJ":
+            for command in MEMBER_COMMANDS:
+                yield command, [command, family, str(n)]
     small = [(2, -9), (-4, 25), (4, 3), (1, 3), (5, 3), (0, 1), (1, 0)]
     for num, den in small + random_fractions(rng):
         yield "tangle cf", ["tangle", "cf", str(num), str(den)]

@@ -228,6 +228,9 @@ def run_tangle_apply(a, b, c, d, num, den):
 
 def run_jvc(p, q):
     verdict = jvc_criterion(TorusKnotParams(p, q))
+    # the runs summed once, for both the count and the verdict
+    negative = verdict.negative_count
+    equals = negative == 1
 
     # per run its first sign, then one repeated chunk of ",s" for the rest
     def signs(quote):
@@ -240,15 +243,14 @@ def run_jvc(p, q):
 
     def text():
         yield f"sign sequence: [{''.join(signs(''))}]"
-        yield f"negative count: {verdict.negative_count}"
-        yield (f"lower bound reaches pinch number - 1: "
-               f"{_yesno(verdict.equals_pinch_minus_one)}")
+        yield f"negative count: {negative}"
+        yield f"lower bound reaches pinch number - 1: {_yesno(equals)}"
 
     results = {
         "knot": verdict.start,
         "signs": JSONText(chain("[", signs('"'), "]")),
-        "negative_count": verdict.negative_count,
-        "equals_pinch_minus_one": verdict.equals_pinch_minus_one,
+        "negative_count": negative,
+        "equals_pinch_minus_one": equals,
     }
     return results, text(), "ok"
 
@@ -294,7 +296,7 @@ REFERENCE_ROWS_J = {
 }
 
 # the largest --max-n verified; `verify all` builds each member's runs once,
-# one run of 2n moves, so it costs about linearly in N (0.13 s in process at 3000)
+# one run of 2n moves, so it costs about linearly in N (0.14 s in process at 3000)
 VERIFY_MAX_N = 3000
 
 

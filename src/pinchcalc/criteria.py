@@ -97,6 +97,6 @@ def _certificate(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
             f"{fid}: surgery fraction {bridge.normalized} expands to {cf}, "
             "not in the slice family"
         )
+    negative = seq.negative_count
     return CounterexampleReport(fid.family, n, seq.start, pinch, 2 * n - 1,
-                                bridge.normalized, cf, True, seq.negative_count,
-                                seq.equals_pinch_minus_one)
+                                bridge.normalized, cf, True, negative, negative == 1)

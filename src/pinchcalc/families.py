@@ -3,13 +3,14 @@
 Both families have pinch number 2n (J_1 = T(4, 1) is already unknotted),
 their pinch sequences follow one closed form, whose steps closed_form_step
 gives as plain (p, q) pairs, and four pinch moves send J_n to K_{n-2}.
-Every check reads a member's chain from pinch_sequence, one inverse a chain.
+Every check reads a member's chain from pinch_sequence, one inverse a chain,
+run by run: _j_to_k_holds reads the fourth target from the strides, and
+_k_collisions solves one quadratic a run, so neither walks the moves.
 verify_j_to_k and verify_k_independence build the chains they read and
-pass them to _j_to_k_holds and _k_collisions, which `verify` calls with the
-one chain it builds for each member.
+pass them to those two, which `verify` calls with the one chain it builds
+for each member.
 """
 
-from itertools import islice
 from math import isqrt
 from operator import index
 
@@ -68,10 +69,17 @@ def closed_form_step(fid: FamilyId, k: int) -> tuple[int, int]:
 
 def _j_to_k_holds(runs: tuple[PinchRun, ...], target: tuple[int, int]) -> bool:
     """Whether the chain of runs has a fourth move, and it lands on target,
-    a (p, q) pair.  The fourth target is read from the rows of the runs; a
-    chain of fewer than four moves fails."""
-    fourth = next(islice((row for run in runs for row in run.rows()), 3, None), None)
-    return fourth is not None and fourth[4:] == target
+    a (p, q) pair; a chain of fewer than four moves fails.  The fourth
+    target is the start of the run that holds move 4 less left strides,
+    left the moves still to make there.  Each stride up to that run is
+    read, and so its run checked, as rows() would."""
+    left = 4
+    for run in runs:
+        dp, dq = run.stride
+        if left <= run.count:
+            return (run.p - left * dp, run.q - left * dq) == target
+        left -= run.count
+    return False
 
 
 def verify_j_to_k(n: int) -> bool:

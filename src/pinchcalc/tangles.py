@@ -74,15 +74,31 @@ class TwoBridgeKnot(namedtuple("TwoBridgeKnot", "t1 t2 normalized")):
 
 
 def two_bridge_normalize(t1: ReducedFraction, t2: ReducedFraction) -> TwoBridgeKnot:
-    """Send t1 to 1/0 by a determinant-one matrix and record where t2 lands."""
-    if t1 == t2:
+    """Send t1 = a/c to 1/0 by the determinant-one matrix [[x, y], [-c, a]],
+    ax + cy = 1, and record where t2 = b/d lands, in plain ints.
+
+    The image is (xb + yd)/(ad - cb).  Its denominator is zero exactly when
+    t1 = t2: ad = cb with both pairs coprime gives (b, d) = +-(a, c), and as
+    both fractions keep den >= 0, with 1/0 the one form of the infinite
+    slope, the sign is +.  The image pair is already coprime, as a
+    determinant-one matrix keeps a coprime pair coprime, so only its sign
+    moves onto the numerator, which is then reduced to the least absolute
+    residue mod the denominator.  A Bezout pair from ext_gcd that breaks
+    ax + cy = 1 is a bug, and raises RuntimeError.
+    """
+    a, c, b, d = t1.num, t1.den, t2.num, t2.den
+    den = a * d - c * b
+    if den == 0:
         raise DegenerateTangleError(f"equal slopes {t1} close up to a link")
-    _, x, y = ext_gcd(t1.num, t1.den)
-    m = MatSL2(x, y, -t1.den, t1.num)
-    raw = mat_apply(m, t2)
-    # raw.den = t1.num*t2.den - t1.den*t2.num, nonzero exactly when t1 != t2
-    num = least_absolute_residue(raw.num, raw.den)
-    return TwoBridgeKnot(t1=t1, t2=t2, normalized=ReducedFraction(num, raw.den))
+    _, x, y = ext_gcd(a, c)
+    if a * x + c * y != 1:
+        raise RuntimeError(f"{t1}: Bezout pair ({x}, {y}) gives determinant "
+                           f"{a * x + c * y}, not 1")
+    num = x * b + y * d
+    if den < 0:
+        num, den = -num, -den
+    return TwoBridgeKnot(t1=t1, t2=t2, normalized=ReducedFraction(
+        least_absolute_residue(num, den), den))
 
 
 def two_bridge_equivalent(k1: TwoBridgeKnot, k2: TwoBridgeKnot) -> bool:

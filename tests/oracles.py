@@ -6,8 +6,10 @@ sign_sequence, jvc_criterion and the pinch-seq document in
 TestPinchRuns::test_runs_expand_to_the_step_chain; the jvc document in
 TestPinchRuns::test_jvc_matches_the_step_chain; pinch_number in
 TestPinchNumber::test_euclid_path_matches_the_step_oracle; the sweep in
-TestSweep::test_matches_direct_sequences; and verify_j_to_k in test_families.py
-TestJToK::test_matches_the_step_oracle.  scan_witnesses, a linear scan, checks
+TestSweep::test_matches_direct_sequences; verify_j_to_k in test_families.py
+TestJToK::test_matches_the_step_oracle; and _j_to_k_holds on chains of many
+runs in TestJToK::test_holds_matches_the_step_oracle_on_any_chain.
+scan_witnesses, a linear scan, checks
 pinch_witnesses through pinch_move in test_acceptance.py c08.  per_run_runs, an
 inverse at every run start, checks the witnesses pinch_runs carries from run to
 run in TestPinchRuns::test_carried_witnesses_match_the_run_start_oracle, to 256
@@ -17,7 +19,10 @@ chains need no oracle, since pinch_runs checks 0 < t < p, 0 < h < q and
 ph - qt = 1 at every run, which makes its witnesses the least at any width.
 even_cf_entries, one divmod per entry, checks cf_even_expand, which takes each
 block of +-2 entries at once, in test_arith.py
-TestEvenCF::test_matches_the_step_oracle.
+TestEvenCF::test_matches_the_step_oracle.  normalize_by_matrix, the matrix
+route through MatSL2 and mat_apply, checks two_bridge_normalize, which works
+in plain ints, in test_tangles.py
+TestTwoBridgeNormalize::test_matches_the_matrix_oracle.
 
 The probes wrap an engine function and record its calls:
 count_witness_calls counts inverses and count_knot_builds the
@@ -31,8 +36,11 @@ import os
 from pathlib import Path
 
 from pinchcalc import pinch
-from pinchcalc.arith import NoEvenExpansionError
+from pinchcalc.arith import NoEvenExpansionError, ReducedFraction, ext_gcd
 from pinchcalc.pinch import PinchRun, TorusKnotParams, pinch_move, pinch_witnesses
+from pinchcalc.tangles import (
+    DegenerateTangleError, MatSL2, TwoBridgeKnot, least_absolute_residue, mat_apply,
+)
 
 # a child interpreter imports the same pinchcalc as the test run
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(pinch.__file__).parents[1])}
@@ -65,6 +73,18 @@ def even_cf_entries(f):
         if resid == 0:
             return
         num, den = (den, resid) if resid > 0 else (-den, -resid)
+
+
+def normalize_by_matrix(t1, t2):
+    """Two-bridge oracle: ext_gcd -> MatSL2 -> mat_apply ->
+    least_absolute_residue -> ReducedFraction, raising what
+    two_bridge_normalize raises on equal slopes."""
+    if t1 == t2:
+        raise DegenerateTangleError(f"equal slopes {t1} close up to a link")
+    _, x, y = ext_gcd(t1.num, t1.den)
+    raw = mat_apply(MatSL2(x, y, -t1.den, t1.num), t2)
+    num = least_absolute_residue(raw.num, raw.den)
+    return TwoBridgeKnot(t1=t1, t2=t2, normalized=ReducedFraction(num, raw.den))
 
 
 def scan_witnesses(p, q):

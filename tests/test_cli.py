@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchcalc
-from pinchcalc import cli, criteria, pinch
+from pinchcalc import cli, criteria, pinch, tangles
 from pinchcalc.cli import cli_main, fmt_fraction, verify_all
 from pinchcalc.arith import EvenCF, ReducedFraction
 from pinchcalc.criteria import counterexample_report
@@ -58,18 +58,18 @@ CLI_DIGESTS = (
     "pinch-seq  (578 calls)\n"
     "14a4f6f2dd8ff335c48dc842abbb880c99ee0e8f023b0710ffdb2b9c632efaa2  "
     "pinch-number  (578 calls)\n"
-    "f4e6ef2e449e0024de9baa34c20e9e073095651b77be50964123c70bbc18ee57  "
-    "family  (120 calls)\n"
-    "02c9b0779dc7218cfbc37109728886e5b3580e7924f11314c4f2c48908031536  "
-    "surgery-knot  (120 calls)\n"
+    "e5c42f246a596da7b4fcfcdc7e8959530fca633df5fd25844d6a203b7f3ca2b4  "
+    "family  (156 calls)\n"
+    "3d8aa8222be7deae27ea27b6cb4f5824533de91b1ea6200d7f167dd645d4466a  "
+    "surgery-knot  (156 calls)\n"
     "6fc628122233f93d191db11104443adf10b0efc992b28075606111938737fbd2  "
     "tangle cf  (86 calls)\n"
     "b491d3906cc26c85bddd981d9bb94be5500535d356cea66070d9ee6d90428de7  "
     "tangle apply  (18 calls)\n"
     "e593e3c0e54e08131a78773257a2ac752af79cebcf04615d92ea3fde2d91b706  "
     "jvc  (694 calls)\n"
-    "8b9bc418fa6228f90d6c8459a009cda99dda5558d3970fd8901db0efd4a6972f  "
-    "report  (120 calls)\n"
+    "a9cf920d176d77505ad687ab474576bcca1eaf7de9195a959f8d5159fb96e359  "
+    "report  (156 calls)\n"
     "a42e6d96c6dc8b0e2c1cf5aa6602d9a3495c7160c761183a84c907e78262e3f5  "
     "verify  (36 calls)\n"
     "cd3d3cce6b82da5a1d1e8e1b05ceea4d6b36baa86236c2a83bb7b07cb1ad2dfc  "
@@ -973,11 +973,14 @@ class TestPackage:
         ((pinch, "pinch_runs", bad_runs), cli.check_reference_tables),
         ((pinch, "pinch_runs", bad_runs), lambda: verify_j_to_k(3)),
         ((pinch, "pinch_runs", bad_runs), lambda: verify_k_independence(3)),
+        # a Bezout pair that breaks ax + cy = 1: a bug, not a bad slope
+        ((tangles, "ext_gcd", lambda a, b: (1, 0, 0)),
+         lambda: criteria.surgery_result_knot(FamilyId("K", 1))),
     ], ids=["sweep-zero-witnesses", "sweep-tree-witnesses", "sweep-pinch-number",
             "pinch-move-sign", "pinch-runs-witnesses", "run-rows-coprime",
             "run-rows-witnesses", "closed-form-bad-run", "k-independence-bad-run",
             "j-to-k-bad-run", "tables-bad-run", "verify-j-to-k-bad-run",
-            "verify-k-independence-bad-run"])
+            "verify-k-independence-bad-run", "normalize-bad-bezout-pair"])
     def test_broken_invariant_raises(self, monkeypatch, patch, call):
         # under python -O too, as test_no_module_asserts finds no assert; a
         # RuntimeError itself, not a subclass such as IterationCapError

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pinchcalc import families, pinch
 from pinchcalc.families import (
     FamilyId,
+    _j_to_k_holds,
     closed_form_step,
     family_knot,
     verify_j_to_k,
@@ -81,6 +82,22 @@ class TestJToK:
             chain = move_chain(family_knot(FamilyId("J", n)), 4)
             k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
             assert verify_j_to_k(n) == (len(chain) == 4 and chain[-1].target == k)
+
+    @given(st.tuples(*[st.one_of(st.integers(0, 40), st.integers(0, 2**20 - 1))] * 2)
+           .filter(lambda pair: gcd(*pair) == 1))
+    def test_holds_matches_the_step_oracle_on_any_chain(self, pair):
+        # a J chain is one run; many of these chains reach move 4 in a later
+        # run, or end before it after several runs.  Both targets are read in
+        # family_knot order: the oracle's fourth target, or the last one of
+        # a shorter chain, and a pair with its p and another q, which no
+        # move reaches, as every move lowers both coordinates
+        k = TorusKnotParams(*pair)
+        chain = move_chain(k, 4)
+        last = chain[-1].target if chain else k
+        runs = pinch_runs(k)
+        for target in ((last.p, last.q), (last.p, last.q + 1)):
+            expected = len(chain) == 4 and (last.p, last.q) == target
+            assert _j_to_k_holds(runs, target) == expected
 
     def test_one_inverse_per_member(self, monkeypatch):
         calls = count_witness_calls(monkeypatch)

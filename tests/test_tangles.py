@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -5,6 +6,7 @@ from pinchcalc.arith import EvenCF, ReducedFraction, cf_even_expand
 from pinchcalc.criteria import surgery_result_knot
 from pinchcalc.families import FamilyId
 from pinchcalc.tangles import (
+    DegenerateTangleError,
     MatSL2,
     TwoBridgeKnot,
     is_slice_family,
@@ -14,6 +16,8 @@ from pinchcalc.tangles import (
     two_bridge_equivalent,
     two_bridge_normalize,
 )
+
+from oracles import normalize_by_matrix
 
 shears = st.integers(-50, 50)
 
@@ -28,6 +32,13 @@ def sl2_matrices(draw):
         e = MatSL2(1, k, 0, 1) if upper else MatSL2(1, 0, k, 1)
         m = mat_mul(m, e)
     return m
+
+
+# reduced slopes up to 256 bits, of either sign, and 1/0
+wide_slopes = st.one_of(
+    st.just(ReducedFraction(1, 0)),
+    st.builds(ReducedFraction, st.integers(-2**256, 2**256), st.integers(1, 2**256)),
+)
 
 
 @st.composite
@@ -85,6 +96,19 @@ class TestTwoBridgeNormalize:
     def test_infinity_first_slope(self):
         k = two_bridge_normalize(ReducedFraction(1, 0), ReducedFraction(7, 9))
         assert k.normalized == ReducedFraction(-2, 9)
+
+    @given(st.one_of(st.tuples(wide_slopes, wide_slopes),
+                     wide_slopes.map(lambda f: (f, f))))
+    def test_matches_the_matrix_oracle(self, slope_pair):
+        # equal slopes raise the same error, word for word, on both sides
+        try:
+            expected = normalize_by_matrix(*slope_pair)
+        except DegenerateTangleError as exc:
+            with pytest.raises(DegenerateTangleError) as raised:
+                two_bridge_normalize(*slope_pair)
+            assert str(raised.value) == str(exc)
+        else:
+            assert two_bridge_normalize(*slope_pair) == expected
 
     @given(st.tuples(slopes(), slopes()).filter(lambda t: t[0] != t[1]),
            st.integers(-20, 20))
