@@ -22,10 +22,11 @@ from operator import index
 
 from .arith import EvenCF, ReducedFraction, cf_even_expand
 from .criteria import (
-    TheoremViolationError, _certificate, counterexample_report, jvc_criterion,
-    surgery_result_knot,
+    TheoremViolationError, counterexample_report, jvc_criterion, surgery_result_knot,
 )
-from .families import FamilyId, _j_to_k_holds, _k_collisions, closed_form_step, family_knot
+from .families import (
+    FamilyId, closed_form_step, family_knot, verify_j_to_k, verify_k_independence,
+)
 from .pinch import PinchSequence, TorusKnotParams, pinch_move, pinch_number, pinch_sequence
 from .tangles import MatSL2, is_slice_family, mat_apply
 
@@ -257,7 +258,7 @@ def run_jvc(p, q):
 
 def run_report(family, n):
     fid = FamilyId(family, n)
-    rep = counterexample_report(fid)
+    rep = counterexample_report(fid, pinch_sequence(family_knot(fid)))
     text = [
         f"{fid} = T{rep.knot}",
         f"pinch number: {rep.pinch_number}",
@@ -376,13 +377,13 @@ def check_j_to_k(members) -> dict:
     targets = chain([(0, 1)], ((seq.start.p, seq.start.q) for _, seq in ks))
     return {"checked": len(js),
             "violations": [fid.n for (fid, seq), target in zip(js, targets)
-                           if not _j_to_k_holds(seq.runs, target)]}
+                           if not verify_j_to_k(seq.runs, target)]}
 
 
 def check_k_independence(members) -> dict:
     ks, _ = members
     return {"checked": len(ks),
-            "violations": _k_collisions((seq.runs for _, seq in ks), len(ks))}
+            "violations": verify_k_independence((seq.runs for _, seq in ks), len(ks))}
 
 
 def check_reports(members) -> dict:
@@ -391,7 +392,7 @@ def check_reports(members) -> dict:
     violations = []
     for fid, seq in chain(*members):
         try:
-            _certificate(fid, seq)
+            counterexample_report(fid, seq)
             checked += 1
         except TheoremViolationError as exc:
             violations.append({"member": str(fid), "error": str(exc)})

@@ -6,7 +6,7 @@ assembled per-family certificate.
 from collections import namedtuple
 
 from .arith import ReducedFraction, cf_even_expand
-from .families import FamilyId, family_knot
+from .families import FamilyId
 from .pinch import PinchSequence, TorusKnotParams, pinch_sequence
 from .tangles import TwoBridgeKnot, is_slice_family, two_bridge_normalize
 
@@ -70,8 +70,9 @@ def surgery_result_knot(fid: FamilyId) -> TwoBridgeKnot:
     )
 
 
-def counterexample_report(fid: FamilyId) -> CounterexampleReport:
-    """The certificate of K_n (n >= 1) or J_n (n >= 2), read from its pinch chain.
+def counterexample_report(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
+    """The certificate of K_n (n >= 1) or J_n (n >= 2), read from seq, the
+    pinch chain of its knot from family_knot.
 
     Pinch number 2n, 2n-1 band surgeries to a recognized slice two-bridge
     knot, and a failing lower-bound criterion.  Raises ValueError for J_1,
@@ -80,11 +81,6 @@ def counterexample_report(fid: FamilyId) -> CounterexampleReport:
     """
     if fid.is_trivial:
         raise ValueError("J_1 is unknotted; no counterexample report")
-    return _certificate(fid, pinch_sequence(family_knot(fid)))
-
-
-def _certificate(fid: FamilyId, seq: PinchSequence) -> CounterexampleReport:
-    """counterexample_report(fid), given the pinch chain of fid's knot."""
     n = fid.n
     _check_applicable(seq.start)
     pinch = seq.pinch_number

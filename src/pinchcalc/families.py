@@ -3,19 +3,17 @@
 Both families have pinch number 2n (J_1 = T(4, 1) is already unknotted),
 their pinch sequences follow one closed form, whose steps closed_form_step
 gives as plain (p, q) pairs, and four pinch moves send J_n to K_{n-2}.
-Every check reads a member's chain from pinch_sequence, one inverse a chain,
-run by run: _j_to_k_holds reads the fourth target from the strides, and
-_k_collisions solves one quadratic a run, so neither walks the moves.
-verify_j_to_k and verify_k_independence build the chains they read and
-pass them to those two, which `verify` calls with the one chain it builds
-for each member.
+The two checks take the chains they read, the runs of pinch_sequence, and
+build none: verify_j_to_k reads the fourth target from the strides, and
+verify_k_independence solves one quadratic a run, so neither walks the
+moves.  `verify` passes both the one chain it builds for each member.
 """
 
 from math import isqrt
 from operator import index
 
 from .arith import Value
-from .pinch import PinchRun, TorusKnotParams, pinch_sequence
+from .pinch import PinchRun, TorusKnotParams
 
 
 class FamilyId(Value):
@@ -67,12 +65,13 @@ def closed_form_step(fid: FamilyId, k: int) -> tuple[int, int]:
     return 4 * n - 2 * k, odd * odd - 2 * k * (n + eps)
 
 
-def _j_to_k_holds(runs: tuple[PinchRun, ...], target: tuple[int, int]) -> bool:
+def verify_j_to_k(runs: tuple[PinchRun, ...], target: tuple[int, int]) -> bool:
     """Whether the chain of runs has a fourth move, and it lands on target,
-    a (p, q) pair; a chain of fewer than four moves fails.  The fourth
-    target is the start of the run that holds move 4 less left strides,
-    left the moves still to make there.  Each stride up to that run is
-    read, and so its run checked, as rows() would."""
+    a (p, q) pair; a chain of fewer than four moves fails.  For J_n, target
+    is K_{n-2} in family_knot order, not up to swapping, with K_0 = T(0, 1).
+    The fourth target is the start of the run that holds move 4 less left
+    strides, left the moves still to make there.  Each stride up to that run
+    is read, and so its run checked, as rows() would."""
     left = 4
     for run in runs:
         dp, dq = run.stride
@@ -80,17 +79,6 @@ def _j_to_k_holds(runs: tuple[PinchRun, ...], target: tuple[int, int]) -> bool:
             return (run.p - left * dp, run.q - left * dq) == target
         left -= run.count
     return False
-
-
-def verify_j_to_k(n: int) -> bool:
-    """Check that four pinch moves send J_n to K_{n-2}, with K_0 = T(0, 1),
-    comparing (p, q) pairs in family_knot order, not up to swapping, from
-    the runs of J_n's chain, one inverse in all."""
-    if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
-    runs = pinch_sequence(family_knot(FamilyId("J", n))).runs
-    k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
-    return _j_to_k_holds(runs, (k.p, k.q))
 
 
 def _k_members_on(runs: tuple[PinchRun, ...], max_n: int) -> list[int]:
@@ -132,23 +120,11 @@ def _k_members_on(runs: tuple[PinchRun, ...], max_n: int) -> list[int]:
     return hits
 
 
-def _k_collisions(k_chains, max_n: int) -> list[tuple[int, int]]:
+def verify_k_independence(k_chains, max_n: int) -> list[tuple[int, int]]:
     """The (m, n) pairs, m != n <= max_n, whose K_m chain visits K_n, in
-    order; k_chains are the runs of K_1, K_2, ... in turn."""
+    order: empty when no K chain passes through another member.  k_chains
+    are the runs of K_1, K_2, ... in turn, each read run by run: the members
+    on a run are the roots of one quadratic in the move count, so each chain
+    costs O(runs), one run for every K_m."""
     return [(m, n) for m, runs in enumerate(k_chains, 1)
             for n in _k_members_on(runs, max_n) if n != m]
-
-
-def verify_k_independence(max_n: int) -> list[tuple[int, int]]:
-    """Scan the pinch sequences of K_1..K_max_n for visits to other members.
-
-    Returns the offending (m, n) pairs, empty when no sequence starting at
-    some K_m passes through a different K_n.  Each chain is read run by
-    run: the members on a run are the roots of one quadratic in the move
-    count, so each chain costs O(runs), one run for every K_m.
-    """
-    if max_n < 1:
-        raise ValueError(f"needs max_n >= 1, got {max_n}")
-    chains = (pinch_sequence(family_knot(FamilyId("K", m))).runs
-              for m in range(1, max_n + 1))
-    return _k_collisions(chains, max_n)

@@ -166,11 +166,6 @@ class PinchSequence(namedtuple("PinchSequence", "start runs")):
         return sum(run.count for run in self.runs if run.sign < 0)
 
     @property
-    def equals_pinch_minus_one(self) -> bool:
-        """The Jabuka-Van Cott verdict: the lower bound reaches pinch number - 1."""
-        return self.negative_count == 1
-
-    @property
     def steps(self) -> tuple[PinchStep, ...]:
         """Every move as a PinchStep, from the rows.  Read only by the
         benchmark's tracer (perfbench/spans.py), to count each chain's runs,

@@ -98,3 +98,8 @@ def test_traced_commands_give_every_per_layer_metric(spans):
     assert not missing
     # the chain probe read the moves of the jvc and report chains
     assert metrics["pinch.moves_per_run"] > 0
+    # each check's one function: J_2 and J_3, one scan of K_1..K_3, and the
+    # report of K_2 with the five of verify
+    assert metrics["families.verify_j_to_k.calls"] == 2
+    assert metrics["families.verify_k_independence.calls"] == 1
+    assert metrics["criteria.counterexample_report.calls"] == 6

@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 import pinchcalc
 from pinchcalc import cli, criteria, pinch, tangles
 from pinchcalc.cli import cli_main, fmt_fraction, verify_all
-from pinchcalc.arith import EvenCF, ReducedFraction
-from pinchcalc.criteria import counterexample_report
+from pinchcalc.arith import EvenCF, ReducedFraction, cf_even_expand
+from pinchcalc.criteria import CounterexampleReport, surgery_result_knot
 from pinchcalc.families import (
     FamilyId, closed_form_step, family_knot, verify_j_to_k, verify_k_independence,
 )
-from pinchcalc.pinch import PinchRun, TorusKnotParams, pinch_sequence
+from pinchcalc.pinch import PinchRun, TorusKnotParams
 
-from oracles import CHILD_ENV, bad_runs, count_knot_builds, count_witness_calls
+from oracles import CHILD_ENV, bad_runs, count_knot_builds, count_witness_calls, move_chain
 
 
 def doc(command, inputs, results, status="ok"):
@@ -125,14 +125,14 @@ def reject_slice(monkeypatch):
 
 def fail_j_to_k_at_3(monkeypatch):
     """Four pinches from J_3 miss K_1 = T(4, 9), the target of J_3 alone."""
-    real = cli._j_to_k_holds
-    monkeypatch.setattr(cli, "_j_to_k_holds",
+    real = cli.verify_j_to_k
+    monkeypatch.setattr(cli, "verify_j_to_k",
                         lambda runs, target: target != (4, 9) and real(runs, target))
 
 
 def collide_k_3_with_k_1(monkeypatch):
     """The chain of K_3 passes through K_1."""
-    monkeypatch.setattr(cli, "_k_collisions", lambda k_chains, max_n: [(3, 1)])
+    monkeypatch.setattr(cli, "verify_k_independence", lambda k_chains, max_n: [(3, 1)])
 
 
 def mismatch_k_1_row(monkeypatch):
@@ -140,15 +140,13 @@ def mismatch_k_1_row(monkeypatch):
     monkeypatch.setitem(cli.REFERENCE_ROWS_K, 1, [(4, 9), (2, 5), (0, 3)])
 
 
-def k_2_pinches_twice(module):
-    """A patch making module's K_2 the knot T(8, 27), of pinch number 2, not 4."""
-    def patch(monkeypatch):
-        real = module.family_knot
-        monkeypatch.setattr(
-            module, "family_knot",
-            lambda fid: TorusKnotParams(8, 27) if str(fid) == "K_2" else real(fid),
-        )
-    return patch
+def k_2_pinches_twice(monkeypatch):
+    """K_2 is the knot T(8, 27), of pinch number 2, not 4."""
+    real = cli.family_knot
+    monkeypatch.setattr(
+        cli, "family_knot",
+        lambda fid: TorusKnotParams(8, 27) if str(fid) == "K_2" else real(fid),
+    )
 
 
 def no_patch(monkeypatch):
@@ -374,7 +372,7 @@ GOLDEN = [
         "", id="closed-form-violation-text",
     ),
     pytest.param(
-        ["verify", "all", "--max-n", "2", "--json"], k_2_pinches_twice(cli), 1,
+        ["verify", "all", "--max-n", "2", "--json"], k_2_pinches_twice, 1,
         doc("verify", '"mode":"all","max_n":2',
             f"{TABLES_K_2_PINCHES_TWICE},"
             '"closed_form":{"checked":2,"violations":['
@@ -386,7 +384,7 @@ GOLDEN = [
         "", id="pinch-number-violation",
     ),
     pytest.param(
-        ["verify", "all", "--max-n", "2"], k_2_pinches_twice(cli), 1,
+        ["verify", "all", "--max-n", "2"], k_2_pinches_twice, 1,
         "K: 4/5 rows match, J: 4/4 rows match\n"
         "pinch numbers and closed form: 2 sequences checked, 1 violations (n <= 2)\n"
         "four pinches J_n -> K_(n-2): 1 checked, 0 violations\n"
@@ -462,12 +460,12 @@ GOLDEN = [
         f"pinchcalc: {SLICE_VIOLATION_K_2}\n", id="report-violation",
     ),
     pytest.param(
-        ["report", "K", "2", "--json"], k_2_pinches_twice(criteria), 1,
+        ["report", "K", "2", "--json"], k_2_pinches_twice, 1,
         doc("report", "", '"violation":"K_2: pinch number 2, expected 4"', "violation"),
         "pinchcalc: K_2: pinch number 2, expected 4\n", id="report-pinch-violation",
     ),
     pytest.param(
-        ["report", "K", "2"], k_2_pinches_twice(criteria), 1,
+        ["report", "K", "2"], k_2_pinches_twice, 1,
         "", "pinchcalc: K_2: pinch number 2, expected 4\n",
         id="report-pinch-violation-text",
     ),
@@ -944,6 +942,18 @@ class TestPackage:
                  or isinstance(node, ast.Name) and node.id == "__debug__"]
         assert found == []
 
+    def test_no_module_imports_a_private_name(self):
+        # every call between modules goes to a public function, the one
+        # entry point of its check, which the benchmark's tracer wraps
+        src = Path(pinchcalc.__file__).parent
+        found = [f"{path.name}:{node.lineno} {alias.name}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").startswith("pinchcalc"))
+                 for alias in node.names if alias.name.startswith("_")]
+        assert found == []
+
     @pytest.mark.parametrize("patch, call", [
         ((pinch, "pinch_witnesses", lambda p, q: (0, 0)),
          lambda: pinch.sweep_termination(10)),
@@ -971,8 +981,9 @@ class TestPackage:
         ((pinch, "pinch_runs", bad_runs),
          lambda: cli.check_j_to_k(cli._member_table(3))),
         ((pinch, "pinch_runs", bad_runs), cli.check_reference_tables),
-        ((pinch, "pinch_runs", bad_runs), lambda: verify_j_to_k(3)),
-        ((pinch, "pinch_runs", bad_runs), lambda: verify_k_independence(3)),
+        # and the checks refuse such a run when it is handed to them
+        ((), lambda: verify_j_to_k(bad_runs(TorusKnotParams(4, 9)), (0, 1))),
+        ((), lambda: verify_k_independence([bad_runs(TorusKnotParams(4, 9))], 3)),
         # a Bezout pair that breaks ax + cy = 1: a bug, not a bad slope
         ((tangles, "ext_gcd", lambda a, b: (1, 0, 0)),
          lambda: criteria.surgery_result_knot(FamilyId("K", 1))),
@@ -1046,12 +1057,14 @@ class TestVerifyAll:
         assert built == chains == inverses == rows
 
     def test_sections_match_the_per_member_functions(self, monkeypatch):
-        # each section against the public functions, which build their own
-        # knots and chains: an entry handed to the wrong member differs
+        # each section against what the step oracle reads off each member's
+        # chain, one pinch_move a move: an entry handed to the wrong member
+        # differs
         certified = []
-        real = cli._certificate
-        monkeypatch.setattr(cli, "_certificate",
+        real = cli.counterexample_report
+        monkeypatch.setattr(cli, "counterexample_report",
                             lambda *entry: certified.append(real(*entry)) or certified[-1])
+        chains = {}
         for max_n in [*range(2, 41), 300]:
             certified.clear()
             results, status = verify_all(max_n, "all")
@@ -1059,26 +1072,49 @@ class TestVerifyAll:
             fids = [FamilyId(family, n) for family, first in (("K", 1), ("J", 2))
                     for n in range(first, max_n + 1)]
             for fid in fids:
-                knots = pinch_sequence(family_knot(fid)).knots()
+                if fid not in chains:
+                    chains[fid] = move_chain(family_knot(fid), 2 * fid.n + 1)
+                knots = [closed_form_step(fid, 0)] + [
+                    (s.target.p, s.target.q) for s in chains[fid]]
                 assert knots == [closed_form_step(fid, k) for k in range(2 * fid.n + 1)]
             assert results["closed_form"] == {"checked": len(fids), "violations": []}
+            k_members = {closed_form_step(FamilyId("K", n), 0): n
+                         for n in range(1, max_n + 1)}
+            targets = [(0, 1), *k_members]
             assert results["j_to_k"] == {
                 "checked": max_n - 1,
-                "violations": [n for n in range(2, max_n + 1) if not verify_j_to_k(n)]}
+                "violations": [n for n in range(2, max_n + 1)
+                               if len(chains[FamilyId("J", n)]) < 4
+                               or chains[FamilyId("J", n)][3].target
+                               != TorusKnotParams(*targets[n - 2])]}
+            # each knot a K_m chain visits, its start too, in either order
+            visits = [(m, k_members.get((min(p, q), max(p, q))))
+                      for m in range(1, max_n + 1)
+                      for p, q in [closed_form_step(FamilyId("K", m), 0)] + [
+                          (s.target.p, s.target.q) for s in chains[FamilyId("K", m)]]]
             assert results["k_independence"] == {
-                "checked": max_n, "violations": verify_k_independence(max_n)}
-            assert certified == [counterexample_report(fid) for fid in fids]
+                "checked": max_n,
+                "violations": [(m, n) for m, n in visits if n not in (None, m)]}
+            expected = []
+            for fid in fids:
+                knot = family_knot(fid)
+                bridge = surgery_result_knot(fid)
+                negative = sum(s.sign < 0 for s in chains[fid])
+                expected.append(CounterexampleReport(
+                    fid.family, fid.n, knot, len(chains[fid]), 2 * fid.n - 1,
+                    bridge.normalized, cf_even_expand(bridge.normalized), True,
+                    negative, negative == 1))
+            assert certified == expected
             assert results["reports"] == {"checked": len(fids), "violations": []}
 
     def test_reports_apply_the_criterion_test(self, monkeypatch):
         # K_2 as T(25, 8): p odd, so the sign criterion does not apply, in
-        # the section and in counterexample_report alike
-        for module, call in ((cli, lambda: cli.check_reports(cli._member_table(2))),
-                             (criteria, lambda: criteria.counterexample_report(
-                                 FamilyId("K", 2)))):
-            real = module.family_knot
-            monkeypatch.setattr(module, "family_knot", lambda fid, real=real: (
-                real(fid).swap() if str(fid) == "K_2" else real(fid)))
+        # the section and in the report command alike
+        real = cli.family_knot
+        monkeypatch.setattr(cli, "family_knot", lambda fid: (
+            real(fid).swap() if str(fid) == "K_2" else real(fid)))
+        for call in (lambda: cli.check_reports(cli._member_table(2)),
+                     lambda: cli.run_report("K", 2)):
             with pytest.raises(criteria.CriterionNotApplicableError,
                                match=r"got \(25, 8\)"):
                 call()

@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from pinchcalc.criteria import counterexample_report, sign_sequence
-from pinchcalc.families import FamilyId
-from pinchcalc.pinch import TorusKnotParams
+from pinchcalc.families import FamilyId, family_knot
+from pinchcalc.pinch import TorusKnotParams, pinch_sequence
 
 from oracles import CHILD_ENV
 
@@ -30,7 +30,8 @@ class TestCounterexampleReport:
     def test_range(self):
         for fam, lo in (("K", 1), ("J", 2)):
             for n in range(lo, 20):
-                r = counterexample_report(FamilyId(fam, n))
+                fid = FamilyId(fam, n)
+                r = counterexample_report(fid, pinch_sequence(family_knot(fid)))
                 assert (r.family, r.n) == (fam, n) and r.slice_recognized is True
                 assert r.pinch_number == 2 * n
                 assert r.band_count == 2 * n - 1
@@ -48,11 +49,13 @@ class TestSingleRunAtScale:
             "import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from pinchcalc.criteria import counterexample_report, jvc_criterion\n"
-            "from pinchcalc.families import FamilyId\n"
+            "from pinchcalc.families import FamilyId, family_knot\n"
             "from pinchcalc.pinch import TorusKnotParams, pinch_sequence\n"
             "k = TorusKnotParams(10**18, 10**18 + 1)\n"
+            "fid = FamilyId('K', 10**12)\n"
             "print(pinch_sequence(k).pinch_number, jvc_criterion(k).negative_count,\n"
-            "      counterexample_report(FamilyId('K', 10**12)).jvc_negative_count)\n"
+            "      counterexample_report(fid, pinch_sequence(family_knot(fid)))"
+            ".jvc_negative_count)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pinchcalc import families, pinch
+from pinchcalc import families
 from pinchcalc.families import (
     FamilyId,
-    _j_to_k_holds,
     closed_form_step,
     family_knot,
     verify_j_to_k,
@@ -21,7 +20,19 @@ from pinchcalc.pinch import (
     pinch_sequence,
 )
 
-from oracles import count_witness_calls, move_chain
+from oracles import move_chain
+
+
+def j_to_k_entry(n):
+    """(runs of J_n's chain, K_(n-2) as a (p, q) pair, T(0, 1) for n = 2)."""
+    k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
+    return pinch_sequence(family_knot(FamilyId("J", n))).runs, (k.p, k.q)
+
+
+def k_chains(max_n):
+    """The runs of K_1..K_max_n, in turn."""
+    return [pinch_sequence(family_knot(FamilyId("K", m))).runs
+            for m in range(1, max_n + 1)]
 
 
 class TestFamilyId:
@@ -71,7 +82,7 @@ class TestJToK:
     def test_holds_at_large_n(self):
         # four pinches on 10^12-scale members, move by move and from the run
         n = 10**12
-        assert verify_j_to_k(n)
+        assert verify_j_to_k(*j_to_k_entry(n))
         (run,) = pinch_runs(family_knot(FamilyId("J", n)))
         *_, fourth = islice(run.rows(), 4)
         k = family_knot(FamilyId("K", n - 2))
@@ -80,8 +91,9 @@ class TestJToK:
     def test_matches_the_step_oracle(self):
         for n in range(2, 301):
             chain = move_chain(family_knot(FamilyId("J", n)), 4)
-            k = TorusKnotParams(0, 1) if n == 2 else family_knot(FamilyId("K", n - 2))
-            assert verify_j_to_k(n) == (len(chain) == 4 and chain[-1].target == k)
+            runs, target = j_to_k_entry(n)
+            assert verify_j_to_k(runs, target) == (
+                len(chain) == 4 and (chain[-1].target.p, chain[-1].target.q) == target)
 
     @given(st.tuples(*[st.one_of(st.integers(0, 40), st.integers(0, 2**20 - 1))] * 2)
            .filter(lambda pair: gcd(*pair) == 1))
@@ -97,45 +109,33 @@ class TestJToK:
         runs = pinch_runs(k)
         for target in ((last.p, last.q), (last.p, last.q + 1)):
             expected = len(chain) == 4 and (last.p, last.q) == target
-            assert _j_to_k_holds(runs, target) == expected
+            assert verify_j_to_k(runs, target) == expected
 
-    def test_one_inverse_per_member(self, monkeypatch):
-        calls = count_witness_calls(monkeypatch)
-        for n in range(2, 41):
-            calls.clear()
-            assert verify_j_to_k(n)
-            k = family_knot(FamilyId("J", n))
-            assert calls == [(k.p, k.q)]
-
-    def test_short_chain_fails(self, monkeypatch):
-        # T(4, 9)'s real chain has two moves, not four
+    def test_short_chain_fails(self):
+        # T(4, 9)'s chain has two moves, not four, and ends on T(0, 1)
         runs = pinch_runs(TorusKnotParams(4, 9))
         assert sum(run.count for run in runs) == 2
-        monkeypatch.setattr(pinch, "pinch_runs", lambda k: runs)
-        assert verify_j_to_k(3) is False
+        assert verify_j_to_k(runs, (0, 1)) is False
 
-
-    def test_a_missed_target_fails(self, monkeypatch):
-        # J_3's fourth move lands on T(4, 9), not on a K_1 moved to T(4, 11)
-        real = families.family_knot
-        monkeypatch.setattr(families, "family_knot", lambda fid: (
-            TorusKnotParams(4, 11) if fid == FamilyId("K", 1) else real(fid)))
-        assert verify_j_to_k(3) is False
-        assert verify_j_to_k(4) is True
+    def test_a_missed_target_fails(self):
+        # J_3's fourth move lands on K_1 = T(4, 9), not on T(4, 11)
+        runs, target = j_to_k_entry(3)
+        assert target == (4, 9)
+        assert verify_j_to_k(runs, (4, 11)) is False
+        assert verify_j_to_k(runs, target) is True
 
 
 class TestKIndependence:
-    def test_finds_a_collision(self, monkeypatch):
-        # K_3 moved to J_3 = T(12, 25), whose chain passes through K_1 = T(4, 9)
-        real = families.family_knot
-
-        def fake(fid):
-            if fid == FamilyId("K", 3):
-                return real(FamilyId("J", 3))
-            return real(fid)
-
-        monkeypatch.setattr(families, "family_knot", fake)
-        assert verify_k_independence(5) == [(3, 1)]
+    def test_finds_a_collision(self):
+        # K_3's chain swapped for J_3 = T(12, 25)'s, which passes through K_1 = T(4, 9)
+        chains = k_chains(5)
+        chains[2] = j_to_k_entry(3)[0]
+        assert verify_k_independence(chains, 5) == [(3, 1)]
+        assert verify_k_independence(k_chains(5), 5) == []
+        # the first chain is read too: K_2's chain in K_1's place starts at K_2
+        chains = k_chains(5)
+        chains[0] = chains[1]
+        assert verify_k_independence(chains, 5) == [(1, 2)]
 
     @pytest.mark.parametrize("max_n, chains_hit", [(60, 198), (3, 194)])
     def test_run_roots_match_a_knot_scan(self, max_n, chains_hit):

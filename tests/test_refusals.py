@@ -24,8 +24,8 @@ from pinchcalc.arith import (
 )
 from pinchcalc.cli import cli_main, verify_all
 from pinchcalc.criteria import counterexample_report, jvc_criterion, surgery_result_knot
-from pinchcalc.families import FamilyId, closed_form_step, verify_j_to_k, verify_k_independence
-from pinchcalc.pinch import TorusKnotParams, pinch_move, sweep_termination
+from pinchcalc.families import FamilyId, closed_form_step, family_knot
+from pinchcalc.pinch import TorusKnotParams, pinch_move, pinch_sequence, sweep_termination
 from pinchcalc.tangles import (
     MatSL2, TwoBridgeKnot, least_absolute_residue, two_bridge_normalize,
 )
@@ -109,9 +109,6 @@ REFUSALS = [
      "ValueError: k must lie in [0, 6], got 7", None),
     # a float k gave (5.0, 16.0)
     ("closed-form-float-k", lambda: closed_form_step(FamilyId("K", 2), 1.5), "TypeError", None),
-    ("j-to-k-n", lambda: verify_j_to_k(1), "ValueError: needs n >= 2, got 1", None),
-    ("k-independence-max-n", lambda: verify_k_independence(0),
-     "ValueError: needs max_n >= 1, got 0", None),
     # tangles
     ("matrix-det-minus-one", lambda: MatSL2(1, 0, 0, -1), f"{NOT_ONE} -1",
      ["tangle", "apply", "1", "0", "0", "-1", "1", "2"]),
@@ -139,7 +136,8 @@ REFUSALS = [
      ["jvc", "3", "5"]),
     ("jvc-unknot", lambda: jvc_criterion(TorusKnotParams(1, 4)), f"{NOT_JVC} (1, 4)",
      ["jvc", "1", "4"]),
-    ("report-trivial", lambda: counterexample_report(J_1),
+    ("report-trivial",
+     lambda: counterexample_report(J_1, pinch_sequence(family_knot(J_1))),
      "ValueError: J_1 is unknotted; no counterexample report", ["report", "J", "1"]),
     # cli; argparse refuses a mode not in MODES before verify_all sees it
     ("verify-mode", lambda: verify_all(5, "bogus"),

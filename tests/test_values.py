@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pinchcalc.arith import EvenCF, ReducedFraction, Value, ext_gcd
 from pinchcalc.criteria import CounterexampleReport, counterexample_report
-from pinchcalc.families import FamilyId
+from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import (
     PinchSequence, PinchStep, TorusKnotParams, pinch_move, pinch_sequence,
 )
@@ -64,7 +64,7 @@ BUILD = {
                      min_size=1, max_size=5).map(EvenCF),
     FamilyId: members,
     CounterexampleReport: members.filter(lambda f: not f.is_trivial)
-    .map(counterexample_report),
+    .map(lambda fid: counterexample_report(fid, pinch_sequence(family_knot(fid)))),
     MatSL2: st.tuples(small, small).filter(lambda ac: gcd(*ac) == 1).map(unimodular),
     TwoBridgeKnot: st.tuples(fractions, fractions).filter(lambda t: t[0] != t[1])
     .map(lambda t: two_bridge_normalize(*t)),
