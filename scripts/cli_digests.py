@@ -44,7 +44,9 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
-from pinchcalc.cli import COMMANDS, KNOT, MEMBER, MODES, VERIFY_MAX_N, cli_main
+from pinchcalc.cli import (
+    COMMANDS, KNOT, MEMBER, MODES, VERIFY_MAX_N, cli_main, member_table,
+)
 from pinchcalc.families import FamilyId, family_knot
 from pinchcalc.pinch import TorusKnotParams, pinch_number, sweep_termination
 from print_pinch_tables import print_table
@@ -203,8 +205,8 @@ def main() -> None:
         print(f"{digest.hexdigest()}  {line}  ({counts[line]} calls)")
     tables = io.StringIO()
     with redirect_stdout(tables):
-        for family in "KJ":
-            print_table(family, 12)
+        for entries in member_table(12):
+            print_table(entries)
     print(f"{sha256(tables.getvalue())}  print_pinch_tables.py --max-n 12")
     print(f"{sha256(repr(sweep_termination(3000)))}  sweep_termination(3000)")
 

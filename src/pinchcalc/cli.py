@@ -301,11 +301,10 @@ REFERENCE_ROWS_J = {
 VERIFY_MAX_N = 3000
 
 
-def _member_table(max_n: int) -> tuple[list, list]:
-    """(K_1..K_max_n, J_2..J_max_n), each member as (fid, seq): seq is the
-    pinch chain of its knot from family_knot, whose start is that knot,
-    built once for every section that reads it.  So K_m is [0][m - 1] and
-    J_n is [1][n - 2]."""
+def member_table(max_n: int) -> tuple[list, list]:
+    """(K_1..K_max_n, J_2..J_max_n), each member as (fid, seq), seq the pinch
+    chain of its knot from family_knot: the one builder of member chains.
+    So K_m is [0][m - 1] and J_n is [1][n - 2]."""
     table = ([], [])
     for entries, family, first in zip(table, "KJ", (1, 2)):
         for n in range(first, max_n + 1):
@@ -315,17 +314,18 @@ def _member_table(max_n: int) -> tuple[list, list]:
 
 
 def check_reference_tables() -> dict:
-    """Diff the pinch sequence of each member's knot against its frozen row."""
+    """Diff each member's chain in a member table against its frozen row."""
+    seqs = dict(chain(*member_table(max(REFERENCE_ROWS_K))))
     out = {}
     for family, rows in (("K", REFERENCE_ROWS_K), ("J", REFERENCE_ROWS_J)):
         matched = 0
         mismatches = []
         for n, expected in sorted(rows.items()):
-            chain = pinch_sequence(family_knot(FamilyId(family, n))).knots()
-            if chain == expected:
+            knots = seqs[FamilyId(family, n)].knots()
+            if knots == expected:
                 matched += 1
             else:
-                mismatches.append({"n": n, "expected": expected, "got": chain})
+                mismatches.append({"n": n, "expected": expected, "got": knots})
         out[family] = {
             "matched": matched,
             "total": len(rows),
@@ -446,8 +446,8 @@ def verify_all(max_n: int, mode: str) -> tuple[dict, str]:
         raise ValueError(f"needs max_n >= 2, got {max_n}")
     if max_n > VERIFY_MAX_N:
         raise ValueError(f"max_n {max_n} is over the verify bound {VERIFY_MAX_N}")
-    # tables reads its own nine chains; every other section reads the table
-    members = None if mode == "tables" else _member_table(max_n)
+    # tables builds its own table, up to its rows; the rest read this one
+    members = None if mode == "tables" else member_table(max_n)
     results = {key: SECTIONS[key][0](members) for key in MODES[mode]}
     status = "violation" if any(map(_violations, results.values())) else "ok"
     return results, status

@@ -1,12 +1,12 @@
 """The Jabuka-Van Cott style lower-bound criterion read from the signs of a
 pinch chain, a member's band surgeries to a two-bridge knot, and the
-assembled per-family certificate.
+per-member certificate, which checks that its chain starts at the member.
 """
 
 from collections import namedtuple
 
 from .arith import ReducedFraction, cf_even_expand
-from .families import FamilyId
+from .families import FamilyId, closed_form_step
 from .pinch import PinchSequence, TorusKnotParams, pinch_sequence
 from .tangles import TwoBridgeKnot, is_slice_family, two_bridge_normalize
 
@@ -31,16 +31,11 @@ def jvc_criterion(k: TorusKnotParams) -> PinchSequence:
     when one single move in the pinch sequence has negative sign.  Only that
     combinatorial verdict is computed; no invariant values are produced.
     """
-    _check_applicable(k)
-    return sign_sequence(k)
-
-
-def _check_applicable(k: TorusKnotParams) -> None:
-    """Raise CriterionNotApplicableError unless p is even and q odd, both > 1."""
     if k.is_unknot() or k.p % 2 != 0 or k.q % 2 != 1:
         raise CriterionNotApplicableError(
             f"needs p even and q odd with p, q > 1, got ({k.p}, {k.q})"
         )
+    return sign_sequence(k)
 
 
 class CounterexampleReport(namedtuple("CounterexampleReport", (
@@ -75,14 +70,14 @@ def counterexample_report(fid: FamilyId, seq: PinchSequence) -> CounterexampleRe
     pinch chain of its knot from family_knot.
 
     Pinch number 2n, 2n-1 band surgeries to a recognized slice two-bridge
-    knot, and a failing lower-bound criterion.  Raises ValueError for J_1,
-    TheoremViolationError if a computed piece disagrees with what the
-    construction guarantees.
+    knot, a chain that starts at the member's knot (p even, q odd, so the
+    criterion applies), and a failing lower-bound criterion.  Raises
+    ValueError for J_1, TheoremViolationError if a computed piece disagrees
+    with what the construction guarantees.
     """
     if fid.is_trivial:
         raise ValueError("J_1 is unknotted; no counterexample report")
     n = fid.n
-    _check_applicable(seq.start)
     pinch = seq.pinch_number
     bridge = surgery_result_knot(fid)
     cf = cf_even_expand(bridge.normalized)
@@ -93,6 +88,10 @@ def counterexample_report(fid: FamilyId, seq: PinchSequence) -> CounterexampleRe
             f"{fid}: surgery fraction {bridge.normalized} expands to {cf}, "
             "not in the slice family"
         )
+    p, q = closed_form_step(fid, 0)
+    if (seq.start.p, seq.start.q) != (p, q):
+        raise TheoremViolationError(
+            f"{fid}: chain starts at T{seq.start}, not at T({p},{q})")
     negative = seq.negative_count
     return CounterexampleReport(fid.family, n, seq.start, pinch, 2 * n - 1,
                                 bridge.normalized, cf, True, negative, negative == 1)

@@ -55,7 +55,7 @@ def closed_form_step(fid: FamilyId, k: int) -> tuple[int, int]:
 
     Returns (4n - 2k, (2n+eps)^2 - 2k(n+eps)), in the order of family_knot
     and PinchSequence.knots(); k = 2n gives (0, 1), the unknot.  eps is +1
-    on the K branch and -1 on the J branch.
+    on the K branch and -1 on the J branch.  Every pair has q = (n+eps)p + 1.
     """
     n, eps = fid.n, fid.eps
     k = index(k)  # refuses a float, which would otherwise give a float pair

@@ -6,11 +6,12 @@ sign_sequence, jvc_criterion and the pinch-seq document in
 TestPinchRuns::test_runs_expand_to_the_step_chain; the jvc document in
 TestPinchRuns::test_jvc_matches_the_step_chain; pinch_number in
 TestPinchNumber::test_euclid_path_matches_the_step_oracle; the sweep in
-TestSweep::test_matches_direct_sequences; verify_j_to_k on the J chains in
-test_families.py TestJToK::test_matches_the_step_oracle, and on chains of
-many runs in TestJToK::test_holds_matches_the_step_oracle_on_any_chain; and
-every verify section, verify_j_to_k, verify_k_independence and
-counterexample_report on each member, in test_cli.py
+TestSweep::test_matches_direct_sequences; verify_j_to_k on chains of many
+runs in test_families.py
+TestJToK::test_holds_matches_the_step_oracle_on_any_chain; and every verify
+section, closed_form_step, verify_j_to_k on the J chains,
+verify_k_independence and counterexample_report on each member up to
+n = 300, in test_cli.py
 TestVerifyAll::test_sections_match_the_per_member_functions.
 scan_witnesses, a linear scan, checks
 pinch_witnesses through pinch_move in test_acceptance.py c08.  per_run_runs, an

@@ -103,3 +103,6 @@ def test_traced_commands_give_every_per_layer_metric(spans):
     assert metrics["families.verify_j_to_k.calls"] == 2
     assert metrics["families.verify_k_independence.calls"] == 1
     assert metrics["criteria.counterexample_report.calls"] == 6
+    # every member chain comes from the member table: one for the sections
+    # of verify, and one of five for tables
+    assert metrics["cli.member_table.calls"] == 2

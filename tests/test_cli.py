@@ -100,6 +100,7 @@ TABLES_K_2_PINCHES_TWICE = (
 SLICE_VIOLATION_K_2 = (
     "K_2: surgery fraction -4/25 expands to [-6,-4], not in the slice family"
 )
+START_VIOLATION_K_2 = "K_2: chain starts at T(25,8), not at T(8,25)"
 
 
 def corrupt_closed_form(monkeypatch):
@@ -147,6 +148,13 @@ def k_2_pinches_twice(monkeypatch):
         cli, "family_knot",
         lambda fid: TorusKnotParams(8, 27) if str(fid) == "K_2" else real(fid),
     )
+
+
+def k_2_swapped(monkeypatch):
+    """K_2 is T(25, 8): the same knot and pinch number, p odd and q even."""
+    real = cli.family_knot
+    monkeypatch.setattr(cli, "family_knot", lambda fid: (
+        real(fid).swap() if str(fid) == "K_2" else real(fid)))
 
 
 def no_patch(monkeypatch):
@@ -468,6 +476,32 @@ GOLDEN = [
         ["report", "K", "2"], k_2_pinches_twice, 1,
         "", "pinchcalc: K_2: pinch number 2, expected 4\n",
         id="report-pinch-violation-text",
+    ),
+    # a member whose chain starts off its knot is a violation in every
+    # section, which all run, and in report alike, not an error (2)
+    pytest.param(
+        ["verify", "all", "--max-n", "2", "--json"], k_2_swapped, 1,
+        doc("verify", '"mode":"all","max_n":2',
+            '"tables":{"K":{"matched":4,"total":5,"mismatches":['
+            '{"n":2,"expected":[[8,25],[6,19],[4,13],[2,7],[0,1]],'
+            '"got":[[25,8],[19,6],[13,4],[7,2],[1,0]]}]},'
+            '"J":{"matched":4,"total":4,"mismatches":[]}},'
+            '"closed_form":{"checked":3,"violations":['
+            '{"member":"K_2","k":0,"closed_form":[8,25],"engine":[25,8]},'
+            '{"member":"K_2","k":1,"closed_form":[6,19],"engine":[19,6]},'
+            '{"member":"K_2","k":2,"closed_form":[4,13],"engine":[13,4]},'
+            '{"member":"K_2","k":3,"closed_form":[2,7],"engine":[7,2]},'
+            '{"member":"K_2","k":4,"closed_form":[0,1],"engine":[1,0]}]},'
+            '"j_to_k":{"checked":1,"violations":[]},'
+            '"k_independence":{"checked":2,"violations":[]},'
+            '"reports":{"checked":2,"violations":['
+            f'{{"member":"K_2","error":"{START_VIOLATION_K_2}"}}]}}', "violation"),
+        "", id="start-violation",
+    ),
+    pytest.param(
+        ["report", "K", "2", "--json"], k_2_swapped, 1,
+        doc("report", "", f'"violation":"{START_VIOLATION_K_2}"', "violation"),
+        f"pinchcalc: {START_VIOLATION_K_2}\n", id="report-start-violation",
     ),
 ]
 
@@ -809,6 +843,10 @@ class TestSubprocessHarness:
         # some 2e10 knots, refused before the first table
         (None, ["print_pinch_tables.py", "--max-n", "100000"], 2,
          "print_pinch_tables.py: error: max_n 100000 is over the verify bound 3000"),
+        # a run that its readers refuse is a bug (3), not a violation (1)
+        (("pinch_runs", bad_runs), ["print_pinch_tables.py", "--max-n", "2"], 3,
+         "print_pinch_tables.py: internal error: "
+         "T(4,9): (1, 1) do not start a run of 1 moves"),
         # a failed self-check of the walk is a bug (3), not a violation (1)
         (("pinch_witnesses", lambda p, q: (1, 1)),
          ["termination_scan.py", "--limit", "10"], 3,
@@ -824,6 +862,7 @@ class TestSubprocessHarness:
          "cap violations: 1\n  (4,9): length 5 > cap 3"),
     ], ids=["termination-scan", "pinch-tables", "pinch-tables-family", "cli-digests",
             "termination-scan-refused", "pinch-tables-refused",
+            "pinch-tables-internal-error",
             "termination-scan-internal-error",
             "termination-scan-any-exception", "termination-scan-violation"])
     def test_script(self, capsys, monkeypatch, patch, script, code, lines):
@@ -975,11 +1014,11 @@ class TestPackage:
         # and j_to_k read its rows, which read the stride first.  Every
         # chain comes from pinch_sequence, which reads pinch.pinch_runs
         ((pinch, "pinch_runs", bad_runs),
-         lambda: cli.check_pinch_numbers_and_closed_form(cli._member_table(3))),
+         lambda: cli.check_pinch_numbers_and_closed_form(cli.member_table(3))),
         ((pinch, "pinch_runs", bad_runs),
-         lambda: cli.check_k_independence(cli._member_table(3))),
+         lambda: cli.check_k_independence(cli.member_table(3))),
         ((pinch, "pinch_runs", bad_runs),
-         lambda: cli.check_j_to_k(cli._member_table(3))),
+         lambda: cli.check_j_to_k(cli.member_table(3))),
         ((pinch, "pinch_runs", bad_runs), cli.check_reference_tables),
         # and the checks refuse such a run when it is handed to them
         ((), lambda: verify_j_to_k(bad_runs(TorusKnotParams(4, 9)), (0, 1))),
@@ -1021,7 +1060,7 @@ class TestVerifyAll:
         ]
         # a section counts the members it checks, none below n = 2
         for section in cli.check_j_to_k, cli.check_pinch_numbers_and_closed_form:
-            assert section(cli._member_table(0)) == {"checked": 0, "violations": []}
+            assert section(cli.member_table(0)) == {"checked": 0, "violations": []}
 
     def test_refuses_range_over_bound(self, monkeypatch):
         # `verify all` builds each member's runs once: 0.13 s in process at N = 3000
@@ -1048,10 +1087,11 @@ class TestVerifyAll:
         monkeypatch.setattr(pinch, "pinch_runs",
                             lambda k: chains.append((k.p, k.q)) or real(k))
         assert verify_all(30, "all")[1] == "ok"
-        # the member table first, then the chains the tables section diffs;
-        # no section builds a knot or a chain of its own
+        # the member table first, then the tables section's own table of
+        # the members its rows name; no section builds a knot or a chain
+        # outside a member table
         assert built == chains == inverses == members + rows
-        # a mode of the tables alone builds no member table
+        # a mode of the tables alone builds only the tables section's table
         built.clear(), chains.clear(), inverses.clear()
         assert verify_all(30, "tables")[1] == "ok"
         assert built == chains == inverses == rows
@@ -1107,18 +1147,6 @@ class TestVerifyAll:
             assert certified == expected
             assert results["reports"] == {"checked": len(fids), "violations": []}
 
-    def test_reports_apply_the_criterion_test(self, monkeypatch):
-        # K_2 as T(25, 8): p odd, so the sign criterion does not apply, in
-        # the section and in the report command alike
-        real = cli.family_knot
-        monkeypatch.setattr(cli, "family_knot", lambda fid: (
-            real(fid).swap() if str(fid) == "K_2" else real(fid)))
-        for call in (lambda: cli.check_reports(cli._member_table(2)),
-                     lambda: cli.run_report("K", 2)):
-            with pytest.raises(criteria.CriterionNotApplicableError,
-                               match=r"got \(25, 8\)"):
-                call()
-
     def test_closed_form_reads_every_run(self, monkeypatch):
         # K_2's chain as two runs: the first has the closed form's start and
         # stride, and the second, which passes its own check, climbs
@@ -1126,7 +1154,7 @@ class TestVerifyAll:
         real = pinch.pinch_runs
         monkeypatch.setattr(pinch, "pinch_runs",
                             lambda k: split if (k.p, k.q) == (8, 25) else real(k))
-        section = cli.check_pinch_numbers_and_closed_form(cli._member_table(2))
+        section = cli.check_pinch_numbers_and_closed_form(cli.member_table(2))
         assert [(v["member"], v["k"]) for v in section["violations"]] == [
             ("K_2", 2), ("K_2", 3), ("K_2", 4)]
 
@@ -1139,7 +1167,7 @@ class TestVerifyAll:
             return p + 2, q
 
         monkeypatch.setattr(cli, "closed_form_step", shifted)
-        section = cli.check_pinch_numbers_and_closed_form(cli._member_table(2))
+        section = cli.check_pinch_numbers_and_closed_form(cli.member_table(2))
         assert section["checked"] == 3
         assert [(v["member"], v["k"]) for v in section["violations"]] == [
             (member, k) for member, n in (("K_1", 1), ("K_2", 2), ("J_2", 2))

@@ -3,9 +3,8 @@ import sys
 
 import pytest
 
-from pinchcalc.criteria import counterexample_report, sign_sequence
-from pinchcalc.families import FamilyId, family_knot
-from pinchcalc.pinch import TorusKnotParams, pinch_sequence
+from pinchcalc.criteria import sign_sequence
+from pinchcalc.pinch import TorusKnotParams
 
 from oracles import CHILD_ENV
 
@@ -24,19 +23,6 @@ class TestSignSequence:
                 assert [(r.sign, r.count) for r in runs] == [(-1, 2 * n)]
                 runs = sign_sequence(k.swap()).runs
                 assert [(r.sign, r.count) for r in runs] == [(1, 2 * n)]
-
-
-class TestCounterexampleReport:
-    def test_range(self):
-        for fam, lo in (("K", 1), ("J", 2)):
-            for n in range(lo, 20):
-                fid = FamilyId(fam, n)
-                r = counterexample_report(fid, pinch_sequence(family_knot(fid)))
-                assert (r.family, r.n) == (fam, n) and r.slice_recognized is True
-                assert r.pinch_number == 2 * n
-                assert r.band_count == 2 * n - 1
-                assert r.jvc_negative_count == 2 * n
-                assert not r.jvc_equals_pinch_minus_one
 
 
 class TestSingleRunAtScale:
